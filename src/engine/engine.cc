@@ -11,7 +11,6 @@
 #include "query/fingerprint.h"
 #include "query/parser.h"
 #include "query/transform.h"
-#include "relational/join.h"
 #include "solver/restrictions.h"
 #include "util/stopwatch.h"
 
@@ -70,18 +69,25 @@ AdpResponse DroppedResponse(CancelReason reason) {
                    "cancelled before the solve started"));
 }
 
+/// The database a request solves against: the bound handle's, else req.db.
+DbId TargetDb(const AdpRequest& req) {
+  return req.prepared.bound() ? req.prepared.bound_db() : req.db;
+}
+
+bool Restricted(const AdpOptions& options) {
+  return options.restrictions != nullptr && !options.restrictions->Empty();
+}
+
 // Option knobs that influence Algorithm-2 classification (and hence the
 // dispatch plan). Part of every plan-cache key so that requests with
 // different knobs never share a plan built for the wrong configuration.
 std::string OptionBits(const AdpOptions& options) {
-  const bool restricted =
-      options.restrictions != nullptr && !options.restrictions->Empty();
   std::string bits;
   bits += options.use_singleton ? 's' : '-';
   bits += options.universe_strategy == AdpOptions::UniverseStrategy::kOneByOne
               ? '1'
               : 'a';
-  bits += restricted ? 'r' : '-';
+  bits += Restricted(options) ? 'r' : '-';
   return bits;
 }
 
@@ -136,27 +142,26 @@ std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   return plan;
 }
 
-std::string PointerKey(const void* p) {
-  return std::to_string(reinterpret_cast<std::uintptr_t>(p));
+/// The request the prepared-handle entry points stand for.
+AdpRequest PreparedRequest(const PreparedQuery& prepared, std::int64_t k,
+                           const AdpOptions& options) {
+  AdpRequest req;
+  req.prepared = prepared;
+  req.db = prepared.bound_db();
+  req.k = k;
+  req.options = options;
+  return req;
 }
 
 /// Maps the exception currently being handled (call only from a catch
 /// block) to the Status its response / stream terminal should carry.
-/// Shared by SolveNow and RunStream so the two catch ladders cannot
-/// drift. `shutdown_requested` upgrades a plain cancellation to kShutdown
-/// (stream producers torn down by Shutdown()). Sets *genuine_failure for
-/// the outcomes EngineCounters::failures counts (cancellation/expiry are
-/// tracked separately).
-Status MapSolveException(bool shutdown_requested, bool* genuine_failure) {
-  *genuine_failure = true;
+Status MapSolveException() {
   try {
     throw;
   } catch (const CancelledError& e) {
-    *genuine_failure = false;
     return Status(e.reason() == CancelReason::kDeadlineExceeded
                       ? StatusCode::kDeadlineExceeded
-                      : (shutdown_requested ? StatusCode::kShutdown
-                                            : StatusCode::kCancelled),
+                      : StatusCode::kCancelled,
                   e.what());
   } catch (const ParseError& e) {
     return Status(StatusCode::kParseError, e.what());
@@ -186,38 +191,41 @@ Status PreparedQuery::Bind(DbId db) {
 AdpEngine::AdpEngine(const EngineConfig& config)
     : config_(config),
       plan_cache_(config.plan_cache_capacity),
-      ticket_counters_(std::make_shared<internal::TicketCounters>()),
-      stream_counters_(std::make_shared<internal::StreamCounters>()),
       registry_(std::make_shared<obs::MetricsRegistry>()),
       pool_(config.num_workers) {
-  // Pre-register the engine's instruments once; the hot paths then update
-  // through these stable pointers, lock-free.
-  requests_ = &registry_->GetCounter(obs::kMRequests);
-  failures_ = &registry_->GetCounter(obs::kMFailures);
-  binding_hits_ = &registry_->GetCounter(obs::kMBindingHits);
-  binding_misses_ = &registry_->GetCounter(obs::kMBindingMisses);
-  dedup_hits_ = &registry_->GetCounter(obs::kMDedupHits);
-  coalesce_hits_ = &registry_->GetCounter(obs::kMCoalesceHits);
-  shed_ = &registry_->GetCounter(obs::kMShed);
-  sharded_universe_nodes_ = &registry_->GetCounter(obs::kMShardedUniverse);
-  sharded_decompose_nodes_ = &registry_->GetCounter(obs::kMShardedDecompose);
-  traces_collected_ = &registry_->GetCounter(obs::kMTracesCollected);
+  // Register the engine's instruments once, so exporters see them at zero
+  // from the start; the hot paths then update through these stable
+  // pointers, lock-free.
+  const auto counter = [this](const char* name) {
+    return &registry_->GetCounter(name);
+  };
+  // Counters bumped by tickets and streams, which may outlive the engine.
+  const auto shared_counter = [&](const char* name) {
+    return std::shared_ptr<obs::Counter>(registry_, counter(name));
+  };
+  requests_ = counter(obs::kMRequests);
+  failures_ = counter(obs::kMFailures);
+  plan_hits_ = counter(obs::kMPlanCacheHits);
+  plan_misses_ = counter(obs::kMPlanCacheMisses);
+  binding_hits_ = counter(obs::kMBindingHits);
+  binding_misses_ = counter(obs::kMBindingMisses);
+  dedup_hits_ = counter(obs::kMDedupHits);
+  coalesce_hits_ = counter(obs::kMCoalesceHits);
+  shed_ = counter(obs::kMShed);
+  sharded_universe_nodes_ = counter(obs::kMShardedUniverse);
+  sharded_decompose_nodes_ = counter(obs::kMShardedDecompose);
+  streams_opened_ = counter(obs::kMStreamsOpened);
+  traces_collected_ = counter(obs::kMTracesCollected);
+  cancelled_ = shared_counter(obs::kMCancelled);
+  deadline_expired_ = shared_counter(obs::kMDeadlineExpired);
+  stream_items_ = shared_counter(obs::kMStreamItems);
+  stream_cancelled_ = shared_counter(obs::kMStreamCancelled);
+  plan_cache_size_ = &registry_->GetGauge(obs::kMPlanCacheSize);
+  registered_dbs_ = &registry_->GetGauge(obs::kMDatabases);
   request_latency_ms_ = &registry_->GetHistogram(obs::kMRequestLatencyMs);
   queue_wait_ms_ = &registry_->GetHistogram(obs::kMQueueWaitMs);
   solve_ms_ = &registry_->GetHistogram(obs::kMSolveMs);
   stream_first_item_ms_ = &registry_->GetHistogram(obs::kMStreamFirstItemMs);
-  // Externally-sourced instruments (mirrored by MirrorExternalMetrics) are
-  // registered up front too, so exporters see them at zero rather than
-  // absent before the first mirror.
-  registry_->GetCounter(obs::kMPlanCacheHits);
-  registry_->GetCounter(obs::kMPlanCacheMisses);
-  registry_->GetCounter(obs::kMCancelled);
-  registry_->GetCounter(obs::kMDeadlineExpired);
-  registry_->GetCounter(obs::kMStreamsOpened);
-  registry_->GetCounter(obs::kMStreamItems);
-  registry_->GetCounter(obs::kMStreamCancelled);
-  registry_->GetGauge(obs::kMPlanCacheSize);
-  registry_->GetGauge(obs::kMDatabases);
   if (config_.min_shard_groups > 0 || config_.min_shard_components > 0) {
     // A zero threshold disables that axis inside the solver (see
     // Parallelism); run_all is bound once for whichever axes are live.
@@ -246,6 +254,7 @@ DbId AdpEngine::RegisterDatabase(NamedDatabase db) {
   std::lock_guard<std::mutex> lock(mu_);
   const DbId id = next_db_id_++;
   databases_.emplace(id, std::move(shared));
+  registered_dbs_->Set(static_cast<std::int64_t>(databases_.size()));
   return id;
 }
 
@@ -267,19 +276,16 @@ bool AdpEngine::UnregisterDatabase(DbId id) {
     if (it == databases_.end()) return false;
     victim = std::move(it->second);
     databases_.erase(it);
-    // The binding cache keys on the NamedDatabase's heap address; a later
-    // registration may land at the same address, so this instance's
-    // entries must go now or they could serve another database's data.
-    const std::string pk = PointerKey(victim.get());
-    const std::string prefix = pk + '|';
-    for (auto bit = bindings_.begin(); bit != bindings_.end();) {
-      if (bit->first == pk ||
-          bit->first.compare(0, prefix.size(), prefix) == 0) {
-        bit = bindings_.erase(bit);
-      } else {
-        ++bit;
-      }
-    }
+    registered_dbs_->Set(static_cast<std::int64_t>(databases_.size()));
+    // Cached work for this id would otherwise outlive it: a binding holds
+    // the released data, and a remembered result would still answer a
+    // request that must now fail with kUnknownDatabase.
+    const std::string prefix = std::to_string(id) + '|';
+    std::erase_if(bindings_, [&](const auto& entry) {
+      return entry.first.starts_with(prefix);
+    });
+    std::erase_if(recent_,
+                  [id](const RecentResult& r) { return r.db == id; });
   }
   // `victim` releases outside the lock; requests still holding the
   // shared_ptr keep the data alive until they finish.
@@ -321,21 +327,17 @@ bool AdpEngine::IsShutdown() const {
 
 AdpEngine::RequestKeys AdpEngine::KeysFor(const AdpRequest& req) const {
   RequestKeys keys;
-  if (req.prepared.valid()) {
-    // Prepared hot path: the dedup key is built from pinned-object
-    // identities — no canonical-key derivation, no query-text hashing.
-    keys.solve = req.prepared.base_key_;
-    if (!req.prepared.bound()) {
-      keys.solve += "|d";
-      keys.solve += std::to_string(req.db);
-    }
-  } else {
-    keys.plan = PlanKey(req);
-    keys.solve = keys.plan;
-    keys.solve += "|d";
-    keys.solve += std::to_string(req.db);
-  }
+  if (!req.prepared.valid()) keys.plan = PlanKey(req);
+  // Restriction sets are caller-owned and have no value identity: such
+  // requests never share a solve.
+  if (Restricted(req.options)) return keys;
+  // A value key: the prepared handle's pinned plan key equals the text
+  // path's, so both paths — and handles prepared before and after a
+  // ClearCaches() — share solves.
   std::string& key = keys.solve;
+  key = req.prepared.valid() ? req.prepared.plan_key_ : keys.plan;
+  key += "|d";
+  key += std::to_string(TargetDb(req));
   key += "|k";
   key += std::to_string(req.k);
   key += '|';
@@ -344,13 +346,6 @@ AdpEngine::RequestKeys AdpEngine::KeysFor(const AdpRequest& req) const {
   // response could carry a trace its joiners did not ask for — or worse,
   // none for the one that did.
   if (req.collect_trace) key += "|T";
-  // Restriction sets are compared by pointer — distinct pointers never
-  // dedup, which is conservative but always sound.
-  if (req.options.restrictions != nullptr &&
-      !req.options.restrictions->Empty()) {
-    key += "|r";
-    key += PointerKey(req.options.restrictions);
-  }
   return keys;
 }
 
@@ -369,14 +364,23 @@ Status AdpEngine::ValidatePrepared(const AdpRequest& req) const {
   return Status();
 }
 
-std::optional<AdpResponse> AdpEngine::Admit(const std::string& solve_key) {
+std::optional<AdpResponse> AdpEngine::Admit(const AdpRequest& req,
+                                            const std::string& solve_key) {
+  if (IsShutdown()) return ShutdownResponse();
   requests_->Increment();
+  if (req.prepared.valid()) {
+    Status valid = ValidatePrepared(req);
+    if (!valid.ok()) {
+      failures_->Increment();
+      return FailureResponse(std::move(valid));
+    }
+  }
+  if (config_.coalesce_window_ms <= 0 || solve_key.empty()) {
+    return std::nullopt;
+  }
   std::shared_ptr<const AdpResponse> hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (config_.coalesce_window_ms <= 0 || recent_.empty()) {
-      return std::nullopt;
-    }
     const auto now = Now();
     // Newest first; the first key match decides (an older match is staler).
     for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
@@ -395,34 +399,18 @@ std::optional<AdpResponse> AdpEngine::Admit(const std::string& solve_key) {
   return resp;
 }
 
-AdpResponse AdpEngine::CountRejected(Status status) {
-  requests_->Increment();
-  failures_->Increment();
-  return FailureResponse(std::move(status));
-}
-
 std::optional<AdpEngine::RecentResult> AdpEngine::MakeRecent(
     const AdpRequest& req, const std::string& solve_key,
     const AdpResponse& resp) const {
-  if (config_.coalesce_window_ms <= 0 || !resp.status.ok()) {
-    return std::nullopt;
-  }
-  if (req.options.restrictions != nullptr &&
-      !req.options.restrictions->Empty()) {
-    // The key names the restriction set by address but the engine does not
-    // own it; remembering would let a freed-and-reallocated set match.
+  if (config_.coalesce_window_ms <= 0 || !resp.status.ok() ||
+      solve_key.empty()) {
     return std::nullopt;
   }
   RecentResult entry;
   entry.key = solve_key;
+  entry.db = TargetDb(req);
   entry.completed = Now();
   entry.response = std::make_shared<const AdpResponse>(resp);
-  if (req.prepared.valid()) {
-    entry.pins.push_back(req.prepared.plan_);
-    if (req.prepared.bound_ != nullptr) {
-      entry.pins.push_back(req.prepared.bound_);
-    }
-  }
   return entry;
 }
 
@@ -463,7 +451,6 @@ StatusOr<PreparedQuery> AdpEngine::PrepareRequest(const AdpRequest& req) {
   prepared.fingerprint_ = plan->fingerprint;
   prepared.plan_key_ = plan_key;
   prepared.option_bits_ = OptionBits(req.options);
-  prepared.base_key_ = "P|" + PointerKey(plan.get());
   return prepared;
 }
 
@@ -505,7 +492,6 @@ StatusOr<std::vector<PreparedQuery>> AdpEngine::PrepareBatch(
     prepared.fingerprint_ = plan->fingerprint;
     prepared.plan_key_ = plan_key;
     prepared.option_bits_ = OptionBits(options);
-    prepared.base_key_ = "P|" + PointerKey(plan.get());
     out.push_back(std::move(prepared));
   }
   return out;
@@ -519,18 +505,14 @@ Status AdpEngine::BindPrepared(PreparedQuery& prepared, DbId db) {
   }
   std::shared_ptr<const Database> bound;
   try {
-    bound = BindDatabase(named, *prepared.plan_);
+    bound = BindDatabase(db, named, *prepared.plan_);
   } catch (const EngineError& e) {
     return Status(e.code(), e.what());
   } catch (const std::exception& e) {
     return Status(StatusCode::kInternal, e.what());
   }
-  prepared.named_ = std::move(named);
   prepared.bound_ = std::move(bound);
   prepared.db_ = db;
-  prepared.base_key_ =
-      "P|" + PointerKey(prepared.plan_.get()) + "|b" +
-      PointerKey(prepared.bound_.get());
   return Status();
 }
 
@@ -538,12 +520,32 @@ Status AdpEngine::BindPrepared(PreparedQuery& prepared, DbId db) {
 
 std::shared_ptr<const CachedPlan> AdpEngine::GetPlan(
     const AdpRequest& req, const std::string& plan_key, bool* hit) {
-  return plan_cache_.GetOrBuild(
-      plan_key, [&req] { return BuildPlan(req); }, hit);
+  bool served = false;
+  const auto count = [&] {
+    if (served) {
+      plan_hits_->Increment();
+    } else {
+      plan_misses_->Increment();
+      plan_cache_size_->Set(static_cast<std::int64_t>(plan_cache_.size()));
+    }
+  };
+  std::shared_ptr<const CachedPlan> plan;
+  try {
+    // GetOrBuild sets `served` before it can throw a failed build.
+    plan = plan_cache_.GetOrBuild(
+        plan_key, [&req] { return BuildPlan(req); }, &served);
+  } catch (...) {
+    count();
+    throw;
+  }
+  count();
+  if (hit != nullptr) *hit = served;
+  return plan;
 }
 
 std::shared_ptr<const Database> AdpEngine::BindDatabase(
-    const std::shared_ptr<const NamedDatabase>& named, const CachedPlan& plan) {
+    DbId id, const std::shared_ptr<const NamedDatabase>& named,
+    const CachedPlan& plan) {
   const ConjunctiveQuery& q = plan.query;
   // Row-capacity guard: solutions address tuples as (relation, TupleId) and
   // TupleId is 32-bit, so an instance past RelationInstance::MaxRows() could
@@ -572,11 +574,9 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
     return std::shared_ptr<const Database>(named, &named->db);
   }
 
-  // Named database: bind by relation name, memoized per (database, body
-  // name sequence) so batches share one bound copy.
-  std::string key;
-  key.reserve(32);
-  key += PointerKey(named.get());
+  // Named database: bind by relation name, memoized per (DbId, body name
+  // sequence) so batches share one bound copy.
+  std::string key = std::to_string(id);
   for (int i = 0; i < q.num_relations(); ++i) {
     key += '|';
     key += q.relation(i).name;
@@ -615,6 +615,8 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  // A database released meanwhile gets no entry: it would pin freed data.
+  if (!databases_.contains(id)) return bound;
   if (config_.binding_cache_capacity != 0 &&
       bindings_.size() >= config_.binding_cache_capacity) {
     bindings_.clear();  // coarse but rare; entries are cheap to rebuild
@@ -623,46 +625,45 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
   return it->second;
 }
 
-void AdpEngine::ResolveStatic(const AdpRequest& req,
-                              const std::string& plan_key,
-                              std::shared_ptr<const CachedPlan>* plan,
-                              std::shared_ptr<const Database>* bound,
-                              bool* plan_cache_hit, double* plan_ms,
-                              std::uint64_t* fingerprint,
-                              obs::TraceSink* sink,
-                              std::uint32_t trace_parent) {
+AdpEngine::StaticWork AdpEngine::ResolveStatic(const AdpRequest& req,
+                                                const std::string& plan_key,
+                                                obs::TraceSink* sink,
+                                                std::uint32_t trace_parent) {
+  StaticWork work;
   Stopwatch plan_sw;
-  {
-    // The plan span covers parsing too — a miss-path BuildPlan parses,
-    // classifies, and linearizes inside this scope.
-    obs::Span span(sink, obs::kSpanPlan, trace_parent);
-    if (req.prepared.valid()) {
-      // Prepared hot path: static work pinned, zero plan-cache traffic.
-      *plan = req.prepared.plan_;
-      *bound = req.prepared.bound_;  // null when the handle is unbound
-      *plan_cache_hit = true;
-    } else {
-      *plan = GetPlan(req, plan_key, plan_cache_hit);
-    }
-    span.Tag("cache_hit", std::int64_t{*plan_cache_hit ? 1 : 0});
+  // The plan span covers parsing too — a miss-path BuildPlan parses,
+  // classifies, and linearizes inside this scope.
+  obs::Span span(sink, obs::kSpanPlan, trace_parent);
+  if (req.prepared.valid()) {
+    // Prepared hot path: static work pinned, zero plan-cache traffic.
+    work.plan = req.prepared.plan_;
+    work.bound = req.prepared.bound_;  // null when the handle is unbound
+    work.plan_cache_hit = true;
+  } else {
+    work.plan = GetPlan(req, plan_key, &work.plan_cache_hit);
   }
-  *plan_ms = plan_sw.ElapsedMs();
-  if (fingerprint != nullptr) *fingerprint = (*plan)->fingerprint;
-
-  if (*bound == nullptr) {
-    obs::Span span(sink, obs::kSpanBind, trace_parent);
-    const std::shared_ptr<const NamedDatabase> named = database(req.db);
-    if (named == nullptr) {
-      throw EngineError(StatusCode::kUnknownDatabase,
-                        "unknown database id " + std::to_string(req.db));
-    }
-    *bound = BindDatabase(named, **plan);
-  }
+  span.Tag("cache_hit", std::int64_t{work.plan_cache_hit ? 1 : 0});
+  work.plan_ms = plan_sw.ElapsedMs();
+  return work;
 }
 
-AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
+std::shared_ptr<const Database> AdpEngine::BindRequest(
+    const AdpRequest& req, const CachedPlan& plan, obs::TraceSink* sink,
+    std::uint32_t trace_parent) {
+  obs::Span span(sink, obs::kSpanBind, trace_parent);
+  const std::shared_ptr<const NamedDatabase> named = database(req.db);
+  if (named == nullptr) {
+    throw EngineError(StatusCode::kUnknownDatabase,
+                      "unknown database id " + std::to_string(req.db));
+  }
+  return BindDatabase(req.db, named, plan);
+}
+
+AdpResponse AdpEngine::SolveNow(const AdpRequest& req,
+                                const std::string& plan_key,
                                 const CancelToken* cancel,
-                                double queue_wait_ms) {
+                                double queue_wait_ms,
+                                const AdpProgress* progress) {
   AdpResponse resp;
   resp.queue_ms = queue_wait_ms;
   Stopwatch total;
@@ -677,7 +678,8 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
     if (queue_wait_ms > 0.0) {
       sink->AddCompleteSpan(obs::kSpanQueue, 0, 0.0, queue_wait_ms);
     }
-    root = obs::Span(sink.get(), obs::kSpanRequest);
+    root = obs::Span(sink.get(), progress != nullptr ? obs::kSpanStream
+                                                     : obs::kSpanRequest);
     root.Tag("k", req.k);
   }
   try {
@@ -685,13 +687,18 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
     // the caches at all ("never runs the solve").
     if (cancel != nullptr) cancel->ThrowIfCancelled();
 
-    std::shared_ptr<const CachedPlan> plan;
-    std::shared_ptr<const Database> bound;
-    ResolveStatic(req, keys.plan, &plan, &bound, &resp.plan_cache_hit,
-                  &resp.plan_ms, &resp.fingerprint, sink.get(), root.id());
+    // Plan fields are filled before the binding step, so a binding failure
+    // still reports them.
+    StaticWork work = ResolveStatic(req, plan_key, sink.get(), root.id());
+    resp.plan_cache_hit = work.plan_cache_hit;
+    resp.plan_ms = work.plan_ms;
+    resp.fingerprint = work.plan->fingerprint;
+    if (work.bound == nullptr) {
+      work.bound = BindRequest(req, *work.plan, sink.get(), root.id());
+    }
 
     AdpOptions options = req.options;
-    options.plan = &plan->dispatch;
+    options.plan = &work.plan->dispatch;
     options.stats = &resp.stats;
     options.parallelism = sharding_.run_all ? &sharding_ : nullptr;
     options.cancel = cancel;
@@ -700,7 +707,8 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
     {
       obs::Span solve_span(sink.get(), obs::kSpanSolve, root.id());
       options.trace_parent = solve_span.id();
-      resp.solution = ComputeAdp(plan->query, *bound, req.k, options);
+      resp.solution =
+          ComputeAdp(work.plan->query, *work.bound, req.k, options, progress);
     }
     resp.solve_ms = solve_sw.ElapsedMs();
     solve_ms_->Observe(resp.solve_ms);
@@ -714,13 +722,19 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
           static_cast<std::uint64_t>(resp.stats.sharded_decompose_nodes));
     }
   } catch (...) {
-    bool genuine_failure = false;
-    resp.status = MapSolveException(/*shutdown_requested=*/false,
-                                    &genuine_failure);
-    if (genuine_failure) failures_->Increment();
+    resp.status = MapSolveException();
+    // Cancellation and expiry are counted separately; streams report
+    // failures through their terminal Status only.
+    const StatusCode code = resp.status.code();
+    if (progress == nullptr && code != StatusCode::kCancelled &&
+        code != StatusCode::kDeadlineExceeded) {
+      failures_->Increment();
+    }
   }
   resp.total_ms = total.ElapsedMs();
-  request_latency_ms_->Observe(queue_wait_ms + resp.total_ms);
+  if (progress == nullptr) {
+    request_latency_ms_->Observe(queue_wait_ms + resp.total_ms);
+  }
   if (sink != nullptr) {
     root.End();
     resp.trace = std::make_shared<const obs::Trace>(sink->Take());
@@ -735,7 +749,7 @@ std::shared_ptr<AdpEngine::InflightSolve> AdpEngine::LeadOrJoin(
     const std::string& key, const std::shared_ptr<internal::TicketImpl>& ticket,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = inflight_.find(key);
+  auto it = key.empty() ? inflight_.end() : inflight_.find(key);
   if (it != inflight_.end()) {
     if (ticket != nullptr) {
       // AddParticipant registers and fired-checks atomically under the
@@ -763,7 +777,7 @@ std::shared_ptr<AdpEngine::InflightSolve> AdpEngine::LeadOrJoin(
   state->group->AddParticipant(deadline);  // fresh group: always succeeds
   state->leader = ticket;
   if (ticket != nullptr) ticket->group = state->group;
-  inflight_[key] = state;
+  if (!key.empty()) inflight_[key] = state;
   return state;
 }
 
@@ -779,7 +793,9 @@ void AdpEngine::PublishInflight(const std::string& key,
     if (it != inflight_.end() && it->second == state) inflight_.erase(it);
     leader = std::move(state->leader);
     followers.swap(state->followers);
-    if (recent.has_value()) {
+    // A result for a database released meanwhile is not remembered: it
+    // would answer later requests that must fail with kUnknownDatabase.
+    if (recent.has_value() && databases_.contains(recent->db)) {
       recent_.push_back(*std::move(recent));
       while (recent_.size() > kRecentResultsCapacity) recent_.pop_front();
     }
@@ -794,19 +810,15 @@ void AdpEngine::PublishInflight(const std::string& key,
 // --- Request entry points ----------------------------------------------------
 
 AdpResponse AdpEngine::ExecuteImpl(const AdpRequest& req) {
-  if (IsShutdown()) return ShutdownResponse();
-  if (req.prepared.valid()) {
-    Status valid = ValidatePrepared(req);
-    if (!valid.ok()) return CountRejected(std::move(valid));
-  }
   const RequestKeys keys = KeysFor(req);
-  if (std::optional<AdpResponse> coalesced = Admit(keys.solve)) {
+  if (std::optional<AdpResponse> answered = Admit(req, keys.solve)) {
     // An already-expired deadline beats a coalesced result, matching the
     // async path (whose ticket substitutes kDeadlineExceeded at delivery).
-    if (req.deadline.has_value() && Now() >= *req.deadline) {
+    if (answered->coalesced && req.deadline.has_value() &&
+        Now() >= *req.deadline) {
       return DroppedResponse(CancelReason::kDeadlineExceeded);
     }
-    return *std::move(coalesced);
+    return *std::move(answered);
   }
 
   // The synchronous path leads but never follows (see LeadOrJoin).
@@ -823,7 +835,7 @@ AdpResponse AdpEngine::ExecuteImpl(const AdpRequest& req) {
     cancel = &solo;
   }
   try {
-    resp = SolveNow(req, keys, cancel);
+    resp = SolveNow(req, keys.plan, cancel);
   } catch (...) {
     // SolveNow absorbs std::exception itself; anything else must still
     // retire the in-flight entry (followers would hang forever on a
@@ -843,21 +855,16 @@ AdpResponse AdpEngine::Execute(const AdpRequest& req) {
   // The sync path has no ticket, so terminal cancelled/expired outcomes
   // are counted here (async paths count through Deliver).
   if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-    ticket_counters_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
+    deadline_expired_->Increment();
   } else if (resp.status.code() == StatusCode::kCancelled) {
-    ticket_counters_->cancelled.fetch_add(1, std::memory_order_relaxed);
+    cancelled_->Increment();
   }
   return resp;
 }
 
 AdpResponse AdpEngine::Execute(const PreparedQuery& prepared, std::int64_t k,
                                const AdpOptions& options) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return Execute(req);
+  return Execute(PreparedRequest(prepared, k, options));
 }
 
 std::future<AdpResponse> AdpEngine::Submit(AdpRequest req, AdpTicket* ticket) {
@@ -876,19 +883,15 @@ std::future<AdpResponse> AdpEngine::Submit(const PreparedQuery& prepared,
                                            std::int64_t k,
                                            const AdpOptions& options,
                                            AdpTicket* ticket) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return Submit(std::move(req), ticket);
+  return Submit(PreparedRequest(prepared, k, options), ticket);
 }
 
 AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
                                  std::function<void(AdpResponse)> done) {
   auto impl = std::make_shared<internal::TicketImpl>();
   impl->done = std::move(done);
-  impl->counters = ticket_counters_;
+  impl->cancelled = cancelled_;
+  impl->deadline_expired = deadline_expired_;
   if (req.deadline.has_value()) impl->own.SetDeadline(*req.deadline);
   AdpTicket ticket(impl);
 
@@ -897,21 +900,9 @@ AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
     internal::Deliver(*impl, ExecuteImpl(req));
     return ticket;
   }
-  if (IsShutdown()) {
-    internal::Deliver(*impl, ShutdownResponse());
-    return ticket;
-  }
-  if (req.prepared.valid()) {
-    Status valid = ValidatePrepared(req);
-    if (!valid.ok()) {
-      internal::Deliver(*impl, CountRejected(std::move(valid)));
-      return ticket;
-    }
-  }
-
   const RequestKeys keys = KeysFor(req);
-  if (std::optional<AdpResponse> coalesced = Admit(keys.solve)) {
-    internal::Deliver(*impl, *std::move(coalesced));
+  if (std::optional<AdpResponse> answered = Admit(req, keys.solve)) {
+    internal::Deliver(*impl, *std::move(answered));
     return ticket;
   }
   // Admission control, before the single-flight probe: an already-dead
@@ -954,7 +945,7 @@ AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
         resp = DroppedResponse(queued);
       } else {
         try {
-          resp = SolveNow(req, keys, &lead->group->solve_token(),
+          resp = SolveNow(req, keys.plan, &lead->group->solve_token(),
                           queue_wait_ms);
         } catch (...) {
           resp = FailureResponse(
@@ -1032,13 +1023,14 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
                    Status(StatusCode::kShutdown, "engine is shut down"));
       return stream;
     }
-    state->counters = stream_counters_;
+    state->items_counter = stream_items_;
+    state->cancelled_counter = stream_cancelled_;
     // Prune streams that already finished (their producers released the
     // state) so the open-stream list stays proportional to live streams.
     std::erase_if(streams_, [](const auto& weak) { return weak.expired(); });
     streams_.push_back(state);
   }
-  stream_counters_->opened.fetch_add(1, std::memory_order_relaxed);
+  streams_opened_->Increment();
   if (req.prepared.valid()) {
     Status valid = ValidatePrepared(req);
     if (!valid.ok()) {
@@ -1080,197 +1072,104 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
 
 ResultStream AdpEngine::StreamAdp(const PreparedQuery& prepared,
                                   std::int64_t k, const AdpOptions& options) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return StreamAdp(std::move(req));
+  return StreamAdp(PreparedRequest(prepared, k, options));
 }
 
 void AdpEngine::RunStream(const AdpRequest& req,
                           const std::shared_ptr<internal::StreamState>& state) {
-  StreamItem end;
-  end.kind = StreamItem::Kind::kEnd;
-  Stopwatch total;
   // Queue wait = StreamAdp admission to here (0-ish for inline production).
   const double queue_wait_ms = MsBetween(state->opened, Now());
   queue_wait_ms_->Observe(queue_wait_ms);
-  end.queue_ms = queue_wait_ms;
-  std::unique_ptr<obs::TraceSink> sink;
-  obs::Span root;
-  if (req.collect_trace) {
-    sink = std::make_unique<obs::TraceSink>(obs::TraceSink::kDefaultMaxSpans,
-                                            queue_wait_ms);
-    if (queue_wait_ms > 0.0) {
-      sink->AddCompleteSpan(obs::kSpanQueue, 0, 0.0, queue_wait_ms);
-    }
-    root = obs::Span(sink.get(), obs::kSpanStream);
-    root.Tag("k", req.k);
-  }
   // Time-to-first-item, measured from admission at the first Emit (profile
   // or witness batch — whichever the consumer could see first).
   bool first_item = true;
-  const auto note_first_item = [&] {
+  const auto emit = [&](StreamItem item) {
     if (first_item) {
       first_item = false;
       stream_first_item_ms_->Observe(MsBetween(state->opened, Now()));
     }
+    state->Emit(std::move(item));
   };
-  try {
-    // Cancelled or expired while queued: never touches the caches.
-    state->cancel_token().ThrowIfCancelled();
-
-    std::shared_ptr<const CachedPlan> plan;
-    std::shared_ptr<const Database> bound;
-    ResolveStatic(req, req.prepared.valid() ? std::string() : PlanKey(req),
-                  &plan, &bound, &end.plan_cache_hit, &end.plan_ms, nullptr,
-                  sink.get(), root.id());
-
-    AdpOptions options = req.options;
-    options.plan = &plan->dispatch;
-    options.stats = &end.stats;
-    options.parallelism = sharding_.run_all ? &sharding_ : nullptr;
-    options.cancel = &state->cancel_token();
-    options.trace = sink.get();
-    options.trace_parent = root.id();
-
-    // Mirror ComputeAdp's preamble (Lemma 12 selection pushdown + the
-    // feasibility gates) so streamed results concatenate to exactly what
-    // Execute would have returned. Kept in sync by the stream-vs-batch
-    // equivalence property test (result_stream_test), which compares the
-    // two paths field-for-field on every CI run.
-    Stopwatch solve_sw;
-    const ConjunctiveQuery* query = &plan->query;
-    const Database* data = bound.get();
-    QueryDb pushed;
-    if (query->HasSelections()) {
-      pushed = ApplySelections(*query, *data);
-      query = &pushed.query;
-      data = &pushed.db;
+  AdpProgress progress;
+  progress.intermediate_witnesses = req.stream_intermediate_witnesses;
+  progress.profile = [&](std::int64_t j, std::int64_t cost) {
+    StreamItem item;
+    item.kind = StreamItem::Kind::kProfile;
+    item.k = j;
+    item.cost = cost;
+    item.feasible = cost < kInfCost;
+    emit(std::move(item));
+  };
+  // Each batch is tagged with the target its witnesses remove
+  // (StreamItem::k): req.k, plus intermediate j's when
+  // AdpRequest::stream_intermediate_witnesses is set.
+  progress.witnesses = [&](std::int64_t j,
+                           const std::vector<TupleRef>& witnesses) {
+    const std::size_t batch =
+        config_.stream_batch_tuples == 0
+            ? std::max<std::size_t>(witnesses.size(), 1)
+            : config_.stream_batch_tuples;
+    for (std::size_t off = 0; off < witnesses.size(); off += batch) {
+      state->cancel_token().ThrowIfCancelled();
+      StreamItem item;
+      item.kind = StreamItem::Kind::kWitnesses;
+      item.k = j;
+      const std::size_t hi = std::min(off + batch, witnesses.size());
+      item.witnesses.assign(
+          witnesses.begin() + static_cast<std::ptrdiff_t>(off),
+          witnesses.begin() + static_cast<std::ptrdiff_t>(hi));
+      emit(std::move(item));
     }
-    end.output_count = static_cast<std::int64_t>(
-        CountOutputs(query->body(), query->head(), *data));
+  };
 
-    if (req.k > end.output_count) {
-      end.cost = kInfCost;
-      end.feasible = false;
-    } else if (req.k <= 0) {
-      end.removed_outputs = 0;  // nothing to remove; trivially "verified"
-    } else {
-      // THE solve: one DP covering every target 1..k. Per-k increments
-      // stream straight off its profile — no per-k re-solves.
-      AdpNode node = ComputeAdpNode(*query, *data, req.k, options);
-      end.exact = node.exact;
-      // Witnesses stream in enumeration order, NOT normalized: sorting
-      // would force the whole set to be materialized-and-ordered before
-      // the first batch could leave, forfeiting exactly the
-      // time-to-first-witness a stream exists for. Consumers recover
-      // AdpSolution::tuples with NormalizeTupleRefs (docs/STREAMING.md).
-      // Each batch is tagged with the target its witnesses remove
-      // (StreamItem::k): req.k on the default path, intermediate j's too
-      // when AdpRequest::stream_intermediate_witnesses is set. report() is
-      // pure over the finished DP, so re-invoking it per target is safe.
-      const auto stream_witnesses = [&](std::int64_t target) {
-        std::vector<TupleRef> witnesses = node.report(target);
-        const std::size_t batch = config_.stream_batch_tuples == 0
-                                      ? std::max<std::size_t>(
-                                            witnesses.size(), 1)
-                                      : config_.stream_batch_tuples;
-        for (std::size_t off = 0; off < witnesses.size(); off += batch) {
-          state->cancel_token().ThrowIfCancelled();
-          StreamItem item;
-          item.kind = StreamItem::Kind::kWitnesses;
-          item.k = target;
-          const std::size_t hi = std::min(off + batch, witnesses.size());
-          item.witnesses.assign(witnesses.begin() + static_cast<std::ptrdiff_t>(off),
-                                witnesses.begin() + static_cast<std::ptrdiff_t>(hi));
-          note_first_item();
-          state->Emit(std::move(item));
-        }
-        return witnesses;
-      };
-      for (std::int64_t j = 1; j <= req.k; ++j) {
-        state->cancel_token().ThrowIfCancelled();
-        StreamItem item;
-        item.kind = StreamItem::Kind::kProfile;
-        item.k = j;
-        item.cost = node.profile.At(j);
-        item.feasible = item.cost < kInfCost;
-        note_first_item();
-        state->Emit(std::move(item));
-        if (req.stream_intermediate_witnesses && j < req.k &&
-            !options.counting_only && node.report &&
-            node.profile.At(j) < kInfCost) {
-          stream_witnesses(j);
-        }
-      }
-      end.cost = node.profile.At(req.k);
-      end.feasible = end.cost < kInfCost;
-      if (!options.counting_only && node.report && end.feasible) {
-        const std::vector<TupleRef> witnesses = stream_witnesses(req.k);
-        if (options.verify) {
-          // Against the ROOT query/database, as ComputeAdp does.
-          end.removed_outputs =
-              CountRemovedOutputs(plan->query, *bound, witnesses);
-        }
-      }
-    }
-    end.solve_ms = solve_sw.ElapsedMs();
-    solve_ms_->Observe(end.solve_ms);
-    if (end.stats.sharded_universe_nodes > 0 ||
-        end.stats.sharded_decompose_nodes > 0) {
-      // Same rollup SolveNow does: streamed solves shard through the pool
-      // too, and STATS must attribute that engagement.
-      sharded_universe_nodes_->Increment(
-          static_cast<std::uint64_t>(end.stats.sharded_universe_nodes));
-      sharded_decompose_nodes_->Increment(
-          static_cast<std::uint64_t>(end.stats.sharded_decompose_nodes));
-    }
-  } catch (...) {
-    // Streams do not count into EngineCounters::failures (see counters
-    // doc): the terminal Status is the outcome signal.
-    bool genuine_failure = false;
-    end.status =
-        MapSolveException(state->shutdown_requested(), &genuine_failure);
+  AdpResponse resp =
+      SolveNow(req, req.prepared.valid() ? std::string() : PlanKey(req),
+               &state->cancel_token(), queue_wait_ms, &progress);
+  StreamItem end;
+  end.kind = StreamItem::Kind::kEnd;
+  end.status = std::move(resp.status);
+  if (end.status.code() == StatusCode::kCancelled &&
+      state->shutdown_requested()) {
+    // Torn down by Shutdown(), not by the consumer.
+    end.status = Status(StatusCode::kShutdown, end.status.message());
   }
-  end.total_ms = total.ElapsedMs();
-  if (sink != nullptr) {
-    root.End();
-    end.trace = std::make_shared<const obs::Trace>(sink->Take());
-    traces_collected_->Increment();
-  }
+  end.cost = resp.solution.cost;
+  end.feasible = resp.solution.feasible;
+  end.exact = resp.solution.exact;
+  end.output_count = resp.solution.output_count;
+  end.removed_outputs = resp.solution.removed_outputs;
+  end.stats = resp.stats;
+  end.plan_cache_hit = resp.plan_cache_hit;
+  end.plan_ms = resp.plan_ms;
+  end.solve_ms = resp.solve_ms;
+  end.total_ms = resp.total_ms;
+  end.queue_ms = resp.queue_ms;
+  end.trace = std::move(resp.trace);
   state->Finish(std::move(end));
 }
 
 // --- Introspection -----------------------------------------------------------
 
 EngineCounters AdpEngine::counters() const {
-  // Mirror first so registry readers (METRICS, bench) and this view agree.
-  MirrorExternalMetrics();
   EngineCounters c;
-  c.plan_hits = plan_cache_.hits();
-  c.plan_misses = plan_cache_.misses();
-  c.plan_cache_size = plan_cache_.size();
-  c.cancelled = ticket_counters_->cancelled.load(std::memory_order_relaxed);
-  c.deadline_expired =
-      ticket_counters_->deadline_expired.load(std::memory_order_relaxed);
-  c.streams_opened =
-      stream_counters_->opened.load(std::memory_order_relaxed);
-  c.stream_items = stream_counters_->items.load(std::memory_order_relaxed);
-  c.stream_cancelled =
-      stream_counters_->cancelled.load(std::memory_order_relaxed);
   c.requests = requests_->Value();
   c.failures = failures_->Value();
+  c.plan_hits = plan_hits_->Value();
+  c.plan_misses = plan_misses_->Value();
   c.binding_hits = binding_hits_->Value();
   c.binding_misses = binding_misses_->Value();
   c.dedup_hits = dedup_hits_->Value();
   c.coalesce_hits = coalesce_hits_->Value();
+  c.cancelled = cancelled_->Value();
+  c.deadline_expired = deadline_expired_->Value();
   c.shed = shed_->Value();
   c.sharded_universe_nodes = sharded_universe_nodes_->Value();
   c.sharded_decompose_nodes = sharded_decompose_nodes_->Value();
-  std::lock_guard<std::mutex> lock(mu_);
-  c.databases = databases_.size();
+  c.streams_opened = streams_opened_->Value();
+  c.stream_items = stream_items_->Value();
+  c.stream_cancelled = stream_cancelled_->Value();
+  c.plan_cache_size = static_cast<std::size_t>(plan_cache_size_->Value());
+  c.databases = static_cast<std::size_t>(registered_dbs_->Value());
   return c;
 }
 
@@ -1280,43 +1179,13 @@ std::shared_ptr<obs::MetricsRegistry> AdpEngine::metrics_shared() const {
   return registry_;
 }
 
-void AdpEngine::MirrorExternalMetrics() const {
-  // RecordTotal is a monotonic max-set, so mirroring is idempotent and safe
-  // to run concurrently with itself — the registry copy only ever catches
-  // up to the external source of truth.
-  registry_->GetCounter(obs::kMPlanCacheHits).RecordTotal(plan_cache_.hits());
-  registry_->GetCounter(obs::kMPlanCacheMisses)
-      .RecordTotal(plan_cache_.misses());
-  registry_->GetCounter(obs::kMCancelled)
-      .RecordTotal(ticket_counters_->cancelled.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMDeadlineExpired)
-      .RecordTotal(
-          ticket_counters_->deadline_expired.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamsOpened)
-      .RecordTotal(stream_counters_->opened.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamItems)
-      .RecordTotal(stream_counters_->items.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamCancelled)
-      .RecordTotal(
-          stream_counters_->cancelled.load(std::memory_order_relaxed));
-  registry_->GetGauge(obs::kMPlanCacheSize)
-      .Set(static_cast<std::int64_t>(plan_cache_.size()));
-  std::size_t databases = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    databases = databases_.size();
-  }
-  registry_->GetGauge(obs::kMDatabases)
-      .Set(static_cast<std::int64_t>(databases));
-}
-
 void AdpEngine::WriteMetricsText(std::ostream& out) const {
-  MirrorExternalMetrics();
   registry_->WritePrometheus(out);
 }
 
 void AdpEngine::ClearCaches() {
   plan_cache_.Clear();
+  plan_cache_size_->Set(static_cast<std::int64_t>(plan_cache_.size()));
   std::lock_guard<std::mutex> lock(mu_);
   bindings_.clear();
   recent_.clear();

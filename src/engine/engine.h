@@ -33,15 +33,18 @@
 //     SubmitToQueue (tagged CompletionQueue) all return an AdpTicket
 //     supporting Cancel(); AdpRequest::deadline bounds queue wait + solve;
 //   * single-flight solve dedup — identical concurrent (plan key, db, k,
-//     solve knobs) requests share one solve (AdpResponse::deduped); the
-//     shared solve is cancelled only when every participant cancels;
+//     solve knobs, trace flag) requests share one solve
+//     (AdpResponse::deduped), whether they arrive as text or through a
+//     PreparedQuery; the shared solve is cancelled only when every
+//     participant cancels. Requests with deletion restrictions never share;
 //   * coalescing admission — with EngineConfig::coalesce_window_ms > 0,
 //     a request identical to one that *completed* within the window is
 //     served from a small recent-results ring without re-solving
 //     (AdpResponse::coalesced, EngineCounters::coalesce_hits);
-//   * streaming enumeration — StreamAdp runs one solve and delivers its
-//     ranked profile (k = 1..K) and witness set incrementally through a
-//     backpressured ResultStream instead of one monolithic response
+//   * streaming enumeration — StreamAdp runs the same request pipeline and
+//     solver entry point as Execute, and delivers the ranked profile
+//     (k = 1..K) and witness set incrementally through a backpressured
+//     ResultStream instead of one monolithic response
 //     (engine/result_stream.h, docs/STREAMING.md).
 //
 // Thread safety: all public methods are safe to call concurrently,
@@ -152,9 +155,9 @@ struct EngineConfig {
   std::size_t max_queue_depth = 0;
 };
 
-/// Monotonic counters, snapshot via AdpEngine::counters(). Assembled as a
-/// view over the engine's MetricsRegistry (obs/metrics.h) plus the caches'
-/// own counters — see metrics() for the registry itself, which additionally
+/// Monotonic counters, snapshot via AdpEngine::counters(): a plain read of
+/// the engine's MetricsRegistry (obs/metrics.h), the only place the engine
+/// counts — see metrics() for the registry itself, which additionally
 /// carries the latency histograms.
 struct EngineCounters {
   /// Requests admitted — counted whatever the outcome, except kShutdown
@@ -223,9 +226,11 @@ class AdpEngine {
   std::shared_ptr<const NamedDatabase> database(DbId id) const;
 
   /// Releases the database behind `id`: subsequent lookups fail with
-  /// kUnknownDatabase and the instance's memory is freed once the last
-  /// in-flight request holding it finishes. Ids are never reused, so a
-  /// stale id can only ever miss — it cannot alias a later registration.
+  /// kUnknownDatabase — its binding-cache and recent-results entries go
+  /// with it — and the instance's memory is freed once the last in-flight
+  /// request (or bound PreparedQuery) holding it finishes. Ids are never
+  /// reused, so a stale id can only ever miss — it cannot alias a later
+  /// registration.
   /// Returns false for an unknown or already-released id. Long-lived
   /// front ends (the network server) call this when a session's
   /// databases go out of scope so registrations don't accumulate.
@@ -299,7 +304,8 @@ class AdpEngine {
   // --- Streaming ----------------------------------------------------------
 
   /// Streaming ranked-witness enumeration: runs ONE solve for `req` on the
-  /// worker pool and returns immediately with a ResultStream that yields
+  /// worker pool — the same pipeline and solver entry point as Execute —
+  /// and returns immediately with a ResultStream that yields
   /// kProfile items for k = 1..req.k (ascending, from the single DP —
   /// never per-k re-solves), then the final target's witness set in
   /// batches of EngineConfig::stream_batch_tuples, then a terminal kEnd
@@ -329,21 +335,19 @@ class AdpEngine {
   EngineCounters counters() const;
   int num_workers() const { return pool_.num_threads(); }
 
-  /// The engine's metrics registry: the counters behind counters(), plus
-  /// the latency histograms (adp_request_latency_ms, adp_queue_wait_ms,
-  /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h). Counters
-  /// whose source of truth lives outside the registry (plan cache, ticket
-  /// and stream terminals) are only guaranteed current after a counters()
-  /// or WriteMetricsText() call mirrored them in. The reference is valid
-  /// only for the engine's lifetime; callers that must read the registry
-  /// after the engine is gone (bench harness, a restarted adp_server)
-  /// take shared ownership via metrics_shared() instead.
+  /// The engine's metrics registry — the only store of its counts: the
+  /// counters and gauges behind counters(), plus the latency histograms
+  /// (adp_request_latency_ms, adp_queue_wait_ms, adp_solve_ms,
+  /// adp_stream_first_item_ms — src/obs/names.h). Every instrument is
+  /// current at all times; no read needs a preceding call. The reference
+  /// is valid only for the engine's lifetime; callers that must read the
+  /// registry after the engine is gone (bench harness, a restarted
+  /// adp_server) take shared ownership via metrics_shared() instead.
   obs::MetricsRegistry& metrics() const;
   std::shared_ptr<obs::MetricsRegistry> metrics_shared() const;
 
-  /// Prometheus text exposition (0.0.4) of the full registry, externally-
-  /// sourced counters and gauges mirrored in first. Backs the adp_server
-  /// METRICS command.
+  /// Prometheus text exposition (0.0.4) of the full registry. Backs the
+  /// adp_server METRICS command.
   void WriteMetricsText(std::ostream& out) const;
 
   /// Drops the plan cache, the binding cache, and the recent-results ring.
@@ -359,7 +363,10 @@ class AdpEngine {
  private:
   friend class PreparedQuery;
 
-  /// The two cache identities of one request; solve extends plan.
+  /// The two cache identities of one request. `solve` is built from values
+  /// only — plan key, DbId, k, solve knobs, trace flag — so text and
+  /// prepared requests for the same work share it, and it is empty for
+  /// requests that must never share a solve (deletion restrictions).
   struct RequestKeys {
     std::string plan;   // plan-cache key (empty for prepared handles)
     std::string solve;  // single-flight dedup / coalesce key
@@ -375,16 +382,22 @@ class AdpEngine {
     std::shared_ptr<internal::SolveCancelGroup> group;
   };
 
-  /// One completed solve, kept for coalescing admission. `pins` keep alive
-  /// every object whose address appears in `key` (a PreparedQuery's plan
-  /// and binding) — without them the allocator could reuse a freed plan's
-  /// address within the window and a later, different request would match
-  /// this entry (ABA) and be served the wrong result.
+  /// One completed solve, kept for coalescing admission. `db` lets
+  /// UnregisterDatabase drop the entries of a released database.
   struct RecentResult {
     std::string key;
+    DbId db = kInvalidDbId;
     MonotonicClock::time_point completed;
     std::shared_ptr<const AdpResponse> response;
-    std::vector<std::shared_ptr<const void>> pins;
+  };
+
+  /// The static work of one request: its plan and, for a bound
+  /// PreparedQuery, the pinned binding (null otherwise).
+  struct StaticWork {
+    std::shared_ptr<const CachedPlan> plan;
+    std::shared_ptr<const Database> bound;
+    bool plan_cache_hit = false;  // served without building
+    double plan_ms = 0.0;
   };
 
   RequestKeys KeysFor(const AdpRequest& req) const;
@@ -398,61 +411,59 @@ class AdpEngine {
   /// Pins the binding for `db` into `prepared` (PreparedQuery::Bind body).
   Status BindPrepared(PreparedQuery& prepared, DbId db);
 
+  /// Plan-cache lookup, counted into adp_plan_cache_{hits,misses}_total.
   std::shared_ptr<const CachedPlan> GetPlan(const AdpRequest& req,
                                             const std::string& plan_key,
                                             bool* hit);
   std::shared_ptr<const Database> BindDatabase(
-      const std::shared_ptr<const NamedDatabase>& named,
+      DbId id, const std::shared_ptr<const NamedDatabase>& named,
       const CachedPlan& plan);
 
-  /// Counts the request and probes the recent-results ring. Returns the
-  /// coalesced response on a hit (deep-copied outside the engine lock).
-  std::optional<AdpResponse> Admit(const std::string& solve_key);
-
-  /// Counts a request rejected before admission (invalid prepared handle)
-  /// as one request and one failure, and returns its failure response.
-  AdpResponse CountRejected(Status status);
+  /// Request admission shared by Execute and SubmitAsync: the shutdown
+  /// gate (kShutdown, not counted), request counting, prepared-handle
+  /// validation (counted as a failure), and the recent-results probe.
+  /// Returns the response when admission already answers the request — a
+  /// coalesced hit is deep-copied outside the engine lock.
+  std::optional<AdpResponse> Admit(const AdpRequest& req,
+                                   const std::string& solve_key);
 
   /// Builds the recent-results ring entry for (req, resp), or nullopt when
   /// the result must not be remembered: coalescing disabled, a failed
-  /// response, or a key naming caller-owned memory the ring cannot pin
-  /// (deletion restrictions). Called outside mu_ (deep-copies `resp`).
+  /// response, or a request that never shares (empty `solve_key`). Called
+  /// outside mu_ (deep-copies `resp`).
   std::optional<RecentResult> MakeRecent(const AdpRequest& req,
                                          const std::string& solve_key,
                                          const AdpResponse& resp) const;
 
-  /// The full request pipeline (plan, bind, solve), without dedup or
-  /// request counting. `keys` are the precomputed cache keys of `req`;
-  /// `cancel`, when non-null, is polled by the solver recursion.
-  /// `queue_wait_ms` — how long the request sat on the pool before this
-  /// call — backdates the trace origin (the synthetic adp.queue span) and
-  /// feeds the end-to-end latency histogram.
-  AdpResponse SolveNow(const AdpRequest& req, const RequestKeys& keys,
-                       const CancelToken* cancel,
-                       double queue_wait_ms = 0.0);
+  /// The one request pipeline behind Execute, the async paths, and
+  /// StreamAdp: trace set-up (the origin backdated by `queue_wait_ms`, so
+  /// a synthetic adp.queue span covers the wait), the cancel check, plan
+  /// and binding resolution, one ComputeAdp, the adp_solve_ms histogram,
+  /// the sharding roll-up, and the mapping of failures to a Status —
+  /// without dedup or request counting. `plan_key` is unused for prepared
+  /// handles; `cancel`, when non-null, is polled by the solver recursion.
+  /// With `progress` set the run is a stream producer: per-k results go
+  /// through it, the root span is adp.stream, and the outcome is the
+  /// stream's (not counted in failures or request latency).
+  AdpResponse SolveNow(const AdpRequest& req, const std::string& plan_key,
+                       const CancelToken* cancel, double queue_wait_ms = 0.0,
+                       const AdpProgress* progress = nullptr);
 
-  /// Resolves the static work and database binding of `req` — prepared
-  /// pin, or plan-cache + binding-cache probes — shared by SolveNow and
-  /// RunStream so the two request pipelines cannot drift. `plan_key` is
-  /// the precomputed plan-cache key (unused for prepared handles).
-  /// `plan_cache_hit` (whether the static work was served without
-  /// building), `plan_ms` (plan-fetch time), and `fingerprint` (optional)
-  /// are all assigned before the binding step, so a binding failure leaves
-  /// them filled on the response. Throws EngineError/ParseError on
-  /// failure. `sink`/`trace_parent` (nullable) wrap the two steps in
-  /// adp.plan / adp.bind spans.
-  void ResolveStatic(const AdpRequest& req, const std::string& plan_key,
-                     std::shared_ptr<const CachedPlan>* plan,
-                     std::shared_ptr<const Database>* bound,
-                     bool* plan_cache_hit, double* plan_ms,
-                     std::uint64_t* fingerprint,
-                     obs::TraceSink* sink = nullptr,
-                     std::uint32_t trace_parent = 0);
+  /// The plan (prepared pin, or plan-cache probe) of `req`, inside an
+  /// adp.plan span. Throws ParseError on failure.
+  StaticWork ResolveStatic(const AdpRequest& req, const std::string& plan_key,
+                           obs::TraceSink* sink, std::uint32_t trace_parent);
 
-  /// Stream producer body: resolves plan + binding, runs the single
-  /// ComputeAdpNode DP, and emits profile/witness items into `state`,
-  /// always ending with a terminal kEnd item. Runs on a pool worker (or
-  /// inline for nested calls).
+  /// The database binding of `req` for `plan`, inside an adp.bind span.
+  /// Throws EngineError (unknown database / relation, oversized instance).
+  std::shared_ptr<const Database> BindRequest(const AdpRequest& req,
+                                              const CachedPlan& plan,
+                                              obs::TraceSink* sink,
+                                              std::uint32_t trace_parent);
+
+  /// Stream producer body: SolveNow with per-k callbacks that emit
+  /// profile/witness items into `state`, always ending with a terminal kEnd
+  /// item. Runs on a pool worker (or inline for nested calls).
   void RunStream(const AdpRequest& req,
                  const std::shared_ptr<internal::StreamState>& state);
 
@@ -471,14 +482,16 @@ class AdpEngine {
   /// `ticket` joined the existing entry as a follower (its delivery fires
   /// with the leader's response, deduped set; counted in dedup_hits), or
   /// the caller was synchronous and solves independently. An entry whose
-  /// shared solve has already been cancelled is replaced, never joined.
+  /// shared solve has already been cancelled is replaced, never joined. An
+  /// empty `key` always leads a record that no other request can find.
   std::shared_ptr<InflightSolve> LeadOrJoin(
       const std::string& key,
       const std::shared_ptr<internal::TicketImpl>& ticket,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
 
-  /// Leader side: retires the entry, remembers `recent` (if any) for
-  /// coalescing, and delivers to the leader's and every follower's ticket.
+  /// Leader side: retires the entry, remembers `recent` (if any, and its
+  /// database is still registered) for coalescing, and delivers to the
+  /// leader's and every follower's ticket.
   void PublishInflight(const std::string& key,
                        const std::shared_ptr<InflightSolve>& state,
                        const AdpResponse& resp,
@@ -486,25 +499,22 @@ class AdpEngine {
 
   bool IsShutdown() const;
 
-  /// RecordTotal-mirrors the counters whose source of truth lives outside
-  /// the registry (plan cache, ticket/stream terminals) and refreshes the
-  /// gauges, so a registry read observes them current.
-  void MirrorExternalMetrics() const;
-
   const EngineConfig config_;
   PlanCache plan_cache_;
   Parallelism sharding_;  // run_all bound to pool_; unset if disabled
-  std::shared_ptr<internal::TicketCounters> ticket_counters_;
-  std::shared_ptr<internal::StreamCounters> stream_counters_;
 
-  /// The metrics sink (obs/metrics.h). Engine-internal counters below point
-  /// straight into it — their updates are lock-free relaxed atomics, so
-  /// none of them need mu_ anymore. shared_ptr: metrics_shared() lets
-  /// callers (bench harness, adp_server) keep the registry alive past a
-  /// restarted engine.
+  /// The metrics registry (obs/metrics.h), the engine's only counter
+  /// store. The instrument pointers below point straight into it — their
+  /// updates are lock-free relaxed atomics, so none of them need mu_.
+  /// shared_ptr: metrics_shared() lets callers (bench harness, adp_server)
+  /// keep the registry alive past a restarted engine, and tickets and
+  /// streams — which may outlive the engine too — hold the counters they
+  /// bump through shared_ptrs aliasing it.
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter* requests_ = nullptr;
   obs::Counter* failures_ = nullptr;
+  obs::Counter* plan_hits_ = nullptr;
+  obs::Counter* plan_misses_ = nullptr;
   obs::Counter* binding_hits_ = nullptr;
   obs::Counter* binding_misses_ = nullptr;
   obs::Counter* dedup_hits_ = nullptr;
@@ -512,7 +522,14 @@ class AdpEngine {
   obs::Counter* shed_ = nullptr;
   obs::Counter* sharded_universe_nodes_ = nullptr;
   obs::Counter* sharded_decompose_nodes_ = nullptr;
+  obs::Counter* streams_opened_ = nullptr;
   obs::Counter* traces_collected_ = nullptr;
+  std::shared_ptr<obs::Counter> cancelled_;
+  std::shared_ptr<obs::Counter> deadline_expired_;
+  std::shared_ptr<obs::Counter> stream_items_;
+  std::shared_ptr<obs::Counter> stream_cancelled_;
+  obs::Gauge* plan_cache_size_ = nullptr;
+  obs::Gauge* registered_dbs_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;
   obs::Histogram* queue_wait_ms_ = nullptr;
   obs::Histogram* solve_ms_ = nullptr;
@@ -522,6 +539,7 @@ class AdpEngine {
                            // inflight_, recent_, streams_, shutdown_
   std::unordered_map<DbId, std::shared_ptr<const NamedDatabase>> databases_;
   DbId next_db_id_ = 0;  // ids are never reused: a released id stays dead
+  /// Binding cache, keyed on (DbId, body relation names).
   std::unordered_map<std::string, std::shared_ptr<const Database>> bindings_;
   std::unordered_map<std::string, std::shared_ptr<InflightSolve>> inflight_;
   std::deque<RecentResult> recent_;  // newest at back; bounded ring

@@ -20,11 +20,9 @@ std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++hits_;
       Touch(it->second);
       fut = it->second.plan;
     } else {
-      ++misses_;
       miss = true;
       fut = promise.get_future().share();
       lru_.push_front(key);
@@ -57,16 +55,6 @@ std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
 
   if (hit != nullptr) *hit = !miss;
   return fut.get();  // rethrows a failed build for every waiter
-}
-
-std::uint64_t PlanCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t PlanCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 std::size_t PlanCache::size() const {

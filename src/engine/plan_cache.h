@@ -72,13 +72,10 @@ class PlanCache {
                                                const Builder& builder,
                                                bool* hit = nullptr);
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Drops every cached plan (in-flight builds are unaffected; counters
-  /// are kept).
+  /// Drops every cached plan (in-flight builds are unaffected).
   void Clear();
 
  private:
@@ -96,8 +93,6 @@ class PlanCache {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t next_generation_ = 0;
 };
 

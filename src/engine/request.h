@@ -19,7 +19,6 @@ namespace adp {
 class AdpEngine;
 class Database;
 struct CachedPlan;
-struct NamedDatabase;
 
 namespace obs {
 struct Trace;  // obs/trace.h; forward-declared to keep this header light
@@ -69,13 +68,12 @@ class PreparedQuery {
 
   AdpEngine* engine_ = nullptr;
   std::shared_ptr<const CachedPlan> plan_;
-  std::shared_ptr<const NamedDatabase> named_;  // set by Bind
-  std::shared_ptr<const Database> bound_;       // set by Bind
+  std::shared_ptr<const Database> bound_;  // set by Bind
   DbId db_ = kInvalidDbId;
   std::uint64_t fingerprint_ = 0;
-  std::string plan_key_;     // the text-path plan-cache key this handle pins
+  std::string plan_key_;     // the plan-cache key this handle pins; also
+                             // the dedup-key prefix (a value, not an address)
   std::string option_bits_;  // classification knobs the plan was built with
-  std::string base_key_;     // dedup-key prefix (plan + binding identity)
 };
 
 /// One ADP(Q, D, k) request. The query is given as Datalog-style text

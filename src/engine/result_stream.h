@@ -2,9 +2,10 @@
 // streaming ranked-witness enumeration path.
 //
 // Where Execute materializes one AdpResponse — one cost, one witness set,
-// deep-copied as a unit — StreamAdp runs the *same single solve* (one
-// ComputeAdpNode DP, never per-k re-solves) and delivers its result as a
-// sequence of typed StreamItems:
+// deep-copied as a unit — StreamAdp runs the *same single solve* (the same
+// ComputeAdp entry point, fed per-k AdpProgress callbacks: one DP, never
+// per-k re-solves) and delivers its result as a sequence of typed
+// StreamItems:
 //
 //   1. zero or more kProfile items, k = 1, 2, ..., K in strictly ascending
 //      order: cost[k] = tuples to delete to remove >= k outputs. Costs are
@@ -60,7 +61,8 @@
 namespace adp {
 
 namespace obs {
-struct Trace;  // obs/trace.h; forward-declared to keep this header light
+class Counter;  // obs/metrics.h
+struct Trace;   // obs/trace.h; forward-declared to keep this header light
 }  // namespace obs
 
 /// One item of a result stream. Which fields are meaningful depends on
@@ -134,14 +136,6 @@ struct StreamItem {
 
 namespace internal {
 
-/// Monotonic stream counters shared between the engine and its streams
-/// (streams may outlive the engine, so the storage is jointly owned).
-struct StreamCounters {
-  std::atomic<std::uint64_t> opened{0};
-  std::atomic<std::uint64_t> items{0};
-  std::atomic<std::uint64_t> cancelled{0};
-};
-
 /// Shared state of one stream: a bounded item buffer between the producing
 /// worker and the consuming ResultStream handle, plus the stream's cancel
 /// token. All methods are thread-safe.
@@ -189,7 +183,11 @@ class StreamState {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  std::shared_ptr<StreamCounters> counters;
+  /// The engine registry's item and teardown counters, null for streams
+  /// rejected at shutdown. Shared ownership (aliasing the registry):
+  /// streams may outlive the engine.
+  std::shared_ptr<obs::Counter> items_counter;
+  std::shared_ptr<obs::Counter> cancelled_counter;
 
   /// When StreamAdp admitted the stream (set by the engine before the
   /// producer is enqueued); RunStream measures queue wait and

@@ -1,5 +1,7 @@
 #include "engine/ticket.h"
 
+#include "obs/metrics.h"
+
 namespace adp {
 namespace internal {
 
@@ -41,12 +43,11 @@ bool Deliver(TicketImpl& t, AdpResponse resp) {
     resp = std::move(expired);
   }
   if (t.delivered.exchange(true, std::memory_order_acq_rel)) return false;
-  if (t.counters != nullptr) {
-    if (resp.status.code() == StatusCode::kCancelled) {
-      t.counters->cancelled.fetch_add(1, std::memory_order_relaxed);
-    } else if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-      t.counters->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (resp.status.code() == StatusCode::kCancelled && t.cancelled) {
+    t.cancelled->Increment();
+  } else if (resp.status.code() == StatusCode::kDeadlineExceeded &&
+             t.deadline_expired) {
+    t.deadline_expired->Increment();
   }
   if (t.done) {
     try {

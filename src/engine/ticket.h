@@ -43,14 +43,11 @@
 
 namespace adp {
 
-namespace internal {
+namespace obs {
+class Counter;
+}  // namespace obs
 
-/// Engine counters a ticket must be able to bump after the engine is gone
-/// (tickets are caller-held and unordered with engine teardown).
-struct TicketCounters {
-  std::atomic<std::uint64_t> cancelled{0};
-  std::atomic<std::uint64_t> deadline_expired{0};
-};
+namespace internal {
 
 /// Cancellation aggregator of one single-flight solve. Every request
 /// sharing the solve (the leader plus each deduped waiter) is a
@@ -107,8 +104,10 @@ struct TicketImpl {
   /// requests that never reach a solve (coalesce hits, shutdown).
   std::shared_ptr<SolveCancelGroup> group;
 
-  /// Outcome counters (shared with the engine).
-  std::shared_ptr<TicketCounters> counters;
+  /// The engine registry's outcome counters. Shared ownership (aliasing
+  /// the registry): tickets are caller-held and may outlive the engine.
+  std::shared_ptr<obs::Counter> cancelled;
+  std::shared_ptr<obs::Counter> deadline_expired;
 };
 
 /// Delivers `resp` to `t` exactly once; returns whether this call performed

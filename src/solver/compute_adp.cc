@@ -196,7 +196,8 @@ AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
 }
 
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t k, const AdpOptions& options) {
+                       std::int64_t k, const AdpOptions& options,
+                       const AdpProgress* progress) {
   ThrowIfCancelled(options);
   // Lemma 12: push selections down first.
   const ConjunctiveQuery* query = &q;
@@ -221,7 +222,7 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     return solution;
   }
 
-  if (Classify(*query, options) == AdpCase::kDecompose) {
+  if (progress == nullptr && Classify(*query, options) == AdpCase::kDecompose) {
     // Root fast path: avoids profiles of length k (k can be a fraction of a
     // cross-product-sized |Q(D)|). Bypasses ComputeAdpNode, so it opens its
     // own node span.
@@ -237,13 +238,32 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     solution.exact = res.exact;
     solution.tuples = std::move(res.tuples);
   } else {
+    // THE solve: one DP covering every target 1..k. Streamed per-k
+    // increments read straight off its profile — no per-k re-solves.
     AdpNode node = ComputeAdpNode(*query, *data, k, options);
+    const bool witnessed = !options.counting_only && node.report != nullptr;
+    // report() is pure over the finished DP, so calling it per target is
+    // safe.
+    const auto report = [&](std::int64_t j) {
+      obs::Span span(options.trace, obs::kSpanWitnesses, options.trace_parent);
+      return node.report(j);
+    };
+    if (progress != nullptr) {
+      for (std::int64_t j = 1; j <= k; ++j) {
+        ThrowIfCancelled(options);
+        const std::int64_t cost = node.profile.At(j);
+        progress->profile(j, cost);
+        if (progress->intermediate_witnesses && j < k && witnessed &&
+            cost < kInfCost) {
+          progress->witnesses(j, report(j));
+        }
+      }
+    }
     solution.cost = node.profile.At(k);
     solution.exact = node.exact;
-    if (!options.counting_only && node.report && solution.cost < kInfCost) {
-      obs::Span span(options.trace, obs::kSpanWitnesses,
-                     options.trace_parent);
-      solution.tuples = node.report(k);
+    if (witnessed && solution.cost < kInfCost) {
+      solution.tuples = report(k);
+      if (progress != nullptr) progress->witnesses(k, solution.tuples);
     }
   }
   if (solution.cost >= kInfCost) {
@@ -254,7 +274,10 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
   }
 
   if (!options.counting_only) {
-    {
+    // Streamed witnesses stay in enumeration order: sorting would force
+    // the whole set to be materialized-and-ordered before the first batch
+    // could leave (docs/STREAMING.md).
+    if (progress == nullptr) {
       obs::Span span(options.trace, obs::kSpanNormalize,
                      options.trace_parent);
       NormalizeTupleRefs(solution.tuples);

@@ -194,10 +194,37 @@ inline CancelToken ReporterToken(const AdpOptions& options) {
   return options.cancel != nullptr ? *options.cancel : CancelToken();
 }
 
+/// Incremental delivery of one ComputeAdp solve — the engine's streaming
+/// path (AdpEngine::StreamAdp) hands these in to receive the single DP's
+/// results as they are read off, instead of only the final AdpSolution.
+/// Both callbacks must be set; either may throw to abort the solve.
+struct AdpProgress {
+  /// Called once per target j = 1..k, ascending, with the profile cost
+  /// (kInfCost when the target is unreachable). Not called when the
+  /// k <= 0 or k > |Q(D)| gates answer without a DP.
+  std::function<void(std::int64_t j, std::int64_t cost)> profile;
+
+  /// Called with the witness set removing >= j outputs, in enumeration
+  /// order (not normalized): for the final target k when it is feasible,
+  /// and — with `intermediate_witnesses` — right after the profile call of
+  /// every feasible intermediate target j < k. Never called under
+  /// AdpOptions::counting_only.
+  std::function<void(std::int64_t j, const std::vector<TupleRef>& witnesses)>
+      witnesses;
+
+  bool intermediate_witnesses = false;
+};
+
 /// Solves ADP(Q, D, k). `q` may carry selections; `db` must be the root
-/// database (instances indexed as in `q`).
+/// database (instances indexed as in `q`). This is the one solve pipeline:
+/// Lemma-12 selection pushdown, the |Q(D)| count, the k > |Q(D)| and
+/// k <= 0 gates, the DP, the witness report, normalization and verify.
+/// With `progress` set, the root always runs the full-profile DP (every
+/// target's cost is delivered), and the returned tuples are the final
+/// witnesses exactly as handed to progress->witnesses — un-normalized.
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t k, const AdpOptions& options = {});
+                       std::int64_t k, const AdpOptions& options = {},
+                       const AdpProgress* progress = nullptr);
 
 /// Algorithm 2's dispatch decision for a selection-free query. Exposed so
 /// plan builders (solver/plan.h) share the exact logic the recursion uses.

@@ -492,7 +492,10 @@ DriverReport LoadDriver::RunOverNet(const std::string& host, int port) {
         return false;
       }
       const StatusCode code = ParseWireStatus(reply->payload);
-      tally.Request(code, ParseWireInt(reply->payload, "\"cost\":"),
+      // The wire reports an infeasible target as cost:-1; the tally counts
+      // it as 0, exactly as the in-process path does.
+      const std::int64_t cost = ParseWireInt(reply->payload, "\"cost\":");
+      tally.Request(code, std::max<std::int64_t>(cost, 0),
                     ParseWireInt(reply->payload, "\"output_count\":"));
       return true;
     };

@@ -17,8 +17,11 @@
 #include "engine/completion_queue.h"
 #include "engine/engine.h"
 #include "engine/grouped_workload.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "query/parser.h"
 #include "solver/compute_adp.h"
+#include "solver/restrictions.h"
 #include "test_util.h"
 #include "util/cancel.h"
 #include "util/rng.h"
@@ -233,6 +236,94 @@ TEST(AdpEngineTest, UnregisterDatabaseReleasesAndNeverReusesIds) {
   const AdpResponse r = engine.Execute(req);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.solution.feasible);
+}
+
+// Regression: cached work must not outlive its database. With a long
+// coalesce window, a remembered result once answered OK for a released id
+// that every other request reported as kUnknownDatabase.
+TEST(AdpEngineTest, UnregisterDatabaseDropsRememberedResults) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+  StatusOr<PreparedQuery> pinned = engine.Prepare(kChainText);
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(pinned->Bind(db).ok());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  ASSERT_TRUE(engine.Execute(req).ok());
+  ASSERT_TRUE(engine.Execute(req).coalesced);  // remembered in the ring
+
+  ASSERT_TRUE(engine.UnregisterDatabase(db));
+  const AdpResponse released = engine.Execute(req);
+  EXPECT_EQ(released.status.code(), StatusCode::kUnknownDatabase);
+  EXPECT_FALSE(released.coalesced);
+
+  // A handle bound before the release still solves from its pinned
+  // binding, but that result is not remembered for the released id either.
+  const AdpResponse from_pin = engine.Execute(*pinned, /*k=*/2);
+  ASSERT_TRUE(from_pin.ok()) << from_pin.status.ToString();
+  EXPECT_FALSE(from_pin.coalesced);
+  EXPECT_EQ(engine.Execute(req).status.code(), StatusCode::kUnknownDatabase);
+}
+
+// The registry is the engine's only counter store: every count is current
+// the moment it happens. Nothing here calls counters() or
+// WriteMetricsText() before reading.
+TEST(AdpEngineTest, RegistryIsCurrentWithoutMirroring) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+  obs::MetricsRegistry& registry = engine.metrics();
+  const auto count = [&](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  ASSERT_TRUE(engine.Execute(req).ok());  // plan miss, binding miss
+  ASSERT_TRUE(engine.Execute(req).ok());  // plan hit, binding hit
+
+  WorkerPlug plug;
+  plug.Install(engine, db);  // another query: plan miss, binding miss
+  AdpTicket ticket;
+  std::future<AdpResponse> cancelled = engine.Submit(req, &ticket);
+  ASSERT_TRUE(ticket.Cancel());
+  AdpRequest expired = req;
+  expired.deadline = std::chrono::steady_clock::now();
+  std::future<AdpResponse> late = engine.Submit(expired);
+  ResultStream torn_down = engine.StreamAdp(req);
+  torn_down.Cancel();
+  plug.release.set_value();
+  EXPECT_EQ(cancelled.get().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(late.get().status.code(), StatusCode::kDeadlineExceeded);
+  std::size_t items = 0;
+  while (std::optional<StreamItem> item = torn_down.Next()) {
+    ++items;
+    EXPECT_EQ(item->status.code(), StatusCode::kCancelled);
+  }
+  ResultStream drained = engine.StreamAdp(req);  // plan hit, binding hit
+  while (drained.Next().has_value()) ++items;
+
+  EXPECT_EQ(count(obs::kMRequests), 5u);
+  EXPECT_EQ(count(obs::kMFailures), 0u);
+  EXPECT_EQ(count(obs::kMPlanCacheMisses), 2u);
+  EXPECT_EQ(count(obs::kMPlanCacheHits), 2u);
+  EXPECT_EQ(count(obs::kMBindingMisses), 2u);
+  EXPECT_EQ(count(obs::kMBindingHits), 2u);
+  EXPECT_EQ(count(obs::kMCancelled), 1u);
+  EXPECT_EQ(count(obs::kMDeadlineExpired), 1u);
+  EXPECT_EQ(count(obs::kMStreamsOpened), 2u);
+  EXPECT_EQ(count(obs::kMStreamItems), items);
+  EXPECT_EQ(count(obs::kMStreamCancelled), 1u);
+  EXPECT_EQ(registry.GetGauge(obs::kMPlanCacheSize).Value(), 2);
+  EXPECT_EQ(registry.GetGauge(obs::kMDatabases).Value(), 1);
+  EXPECT_GT(items, 1u);
 }
 
 TEST(AdpEngineTest, ErrorsCarryTypedStatusCodes) {
@@ -890,6 +981,85 @@ TEST(AdpEngineTest, PreparedSubmitAndDedupAcrossHandleAndCopies) {
   }
   EXPECT_EQ(deduped, 1);
   EXPECT_EQ(engine.counters().dedup_hits, 1u);
+}
+
+// Solve identities are values — (plan key, DbId, k, solve knobs, trace
+// flag) — not object addresses: a text request shares a solve with a
+// prepared one, and so do handles prepared on either side of ClearCaches().
+TEST(AdpEngineTest, DedupKeysAreValuesAcrossTextAndPreparedPaths) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+  StatusOr<PreparedQuery> before = engine.Prepare(kChainText);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->Bind(db).ok());
+
+  const auto deduped_of = [](std::vector<std::future<AdpResponse>>& futures,
+                             std::int64_t cost) {
+    int deduped = 0;
+    for (auto& fut : futures) {
+      const AdpResponse resp = fut.get();
+      EXPECT_TRUE(resp.ok()) << resp.status.ToString();
+      EXPECT_EQ(resp.solution.cost, cost);
+      if (resp.deduped) ++deduped;
+    }
+    return deduped;
+  };
+
+  // A text request and a prepared request for the same query, db and k.
+  {
+    WorkerPlug plug;
+    plug.Install(engine, db);
+    AdpRequest text;
+    text.query_text = kChainText;
+    text.db = db;
+    text.k = 2;
+    std::vector<std::future<AdpResponse>> futures;
+    futures.push_back(engine.Submit(text));
+    futures.push_back(engine.Submit(*before, /*k=*/2));
+    plug.release.set_value();
+    EXPECT_EQ(deduped_of(futures, 1), 1);
+  }
+  EXPECT_EQ(engine.counters().dedup_hits, 1u);
+
+  // Handles prepared before and after ClearCaches() pin distinct plan
+  // objects for the same plan key.
+  engine.ClearCaches();
+  StatusOr<PreparedQuery> after = engine.Prepare(kChainText);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(after->Bind(db).ok());
+  ASSERT_NE(before->plan(), after->plan());
+  {
+    WorkerPlug plug;
+    plug.Install(engine, db);
+    std::vector<std::future<AdpResponse>> futures;
+    futures.push_back(engine.Submit(*before, /*k=*/3));
+    futures.push_back(engine.Submit(*after, /*k=*/3));
+    plug.release.set_value();
+    EXPECT_EQ(deduped_of(futures, 2), 1);
+  }
+  EXPECT_EQ(engine.counters().dedup_hits, 2u);
+
+  // Deletion restrictions have no value identity: such requests never
+  // share a solve, even when they name the same restriction set.
+  DeletionRestrictions protect;
+  protect.Protect(/*relation=*/2, /*row=*/2);
+  {
+    WorkerPlug plug;
+    plug.Install(engine, db);
+    AdpRequest restricted;
+    restricted.query_text = kChainText;
+    restricted.db = db;
+    restricted.k = 2;
+    restricted.options.restrictions = &protect;
+    std::future<AdpResponse> a = engine.Submit(restricted);
+    std::future<AdpResponse> b = engine.Submit(restricted);
+    plug.release.set_value();
+    for (AdpResponse resp : {a.get(), b.get()}) {
+      EXPECT_TRUE(resp.ok()) << resp.status.ToString();
+      EXPECT_FALSE(resp.deduped);
+    }
+  }
+  EXPECT_EQ(engine.counters().dedup_hits, 2u);
 }
 
 TEST(AdpEngineTest, PreparedValidationIsTyped) {

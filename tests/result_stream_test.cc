@@ -443,7 +443,7 @@ TEST(ResultStreamTest, NestedStreamFromWorkerThreadIsProducedInline) {
 
 TEST(ResultStreamTest, BindingFailureKeepsPlanCacheHitOnErrorResults) {
   // Regression: plan_cache_hit is assigned before the binding step in the
-  // shared ResolveStatic, so an error response for a warm-cached plan
+  // shared request pipeline, so an error response for a warm-cached plan
   // still reports the hit — on both the Execute and the stream surface.
   AdpEngine engine(EngineConfig{.num_workers = 1});
   NamedDatabase good;

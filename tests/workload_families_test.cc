@@ -18,6 +18,7 @@
 
 #include "dichotomy/classification.h"
 #include "engine/engine.h"
+#include "net/server.h"
 #include "solver/compute_adp.h"
 #include "workload/driver.h"
 #include "workload/families.h"
@@ -241,6 +242,34 @@ TEST(FamiliesTest, DriverPlanAndAnswersDeterministic) {
   EXPECT_EQ(ra.answer_checksum, rb.answer_checksum);
   // And replaying the same plan on the same driver is stable too.
   EXPECT_EQ(a.Run().answer_checksum, ra.answer_checksum);
+}
+
+// One fixed cancel-free plan answers identically in-process and over the
+// wire. The Boolean family has |Q(D)| = 1, so every k > 1 op is infeasible:
+// the wire's cost:-1 must tally like the in-process infeasible answer.
+TEST(FamiliesTest, NetReplayChecksumMatchesInProcess) {
+  const std::vector<FamilySpec> specs = {DefaultFamilyCatalog()[0],
+                                         DefaultFamilyCatalog()[1]};
+  ASSERT_EQ(static_cast<int>(specs[0].head),
+            static_cast<int>(HeadClass::kBoolean));
+  DriverConfig dc;
+  dc.concurrency = 2;
+  dc.requests = 40;
+  dc.max_k = 3;
+  dc.seed = 5;
+  dc.mix = {.execute = 0.5, .prepared = 0.5};  // cancel-free: deterministic
+
+  AdpEngine engine;
+  LoadDriver driver(engine, MakeFamilySet(specs, dc.seed), dc);
+  net::AdpNetServer server(engine);
+  ASSERT_TRUE(server.Start().ok());
+
+  const DriverReport local = driver.Run();
+  const DriverReport wire = driver.RunOverNet("127.0.0.1", server.port());
+  ASSERT_EQ(local.outcomes.ok, local.outcomes.issued);
+  ASSERT_EQ(wire.outcomes.ok, wire.outcomes.issued);
+  EXPECT_EQ(wire.outcomes.issued, local.outcomes.issued);
+  EXPECT_EQ(wire.answer_checksum, local.answer_checksum);
 }
 
 }  // namespace
