@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -87,6 +89,8 @@ inline void Report(benchmark::State& state, std::int64_t outputs,
 /// Minimal flat-JSON writer for machine-readable bench artifacts (the
 /// BENCH_*.json perf trajectories CI uploads, docs/OBSERVABILITY.md).
 /// Keys are emitted sorted so diffs of successive trajectories are stable.
+/// Integral values (counts, checksums) are written exactly, everything else
+/// in the shortest form that parses back to the same double.
 class BenchJsonWriter {
  public:
   void Add(const std::string& key, double value) { fields_[key] = value; }
@@ -97,7 +101,7 @@ class BenchJsonWriter {
     out << "{";
     const char* sep = "";
     for (const auto& [key, value] : fields_) {
-      out << sep << "\"" << key << "\":" << value;
+      out << sep << "\"" << key << "\":" << FormatNumber(value);
       sep = ",";
     }
     out << "}\n";
@@ -105,6 +109,16 @@ class BenchJsonWriter {
   }
 
  private:
+  static std::string FormatNumber(double value) {
+    if (std::isfinite(value) && value == std::trunc(value) &&
+        std::fabs(value) < 9.0e18) {
+      return std::to_string(static_cast<std::int64_t>(value));
+    }
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    return std::string(buf, res.ptr);
+  }
+
   std::map<std::string, double> fields_;
 };
 

@@ -54,11 +54,20 @@ void CheckProfileLimit(std::int64_t len) {
   }
 }
 
+// A fold of children[0..i]: its profile and output count.
+struct Fold {
+  CostProfile profile;
+  std::int64_t m = 0;
+};
+
 // State shared with reporters.
 struct DecomposeState {
-  std::vector<AdpNode> children;                 // in fold order
-  std::vector<std::int64_t> m;                   // in fold order
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> choices;
+  std::vector<AdpNode> children;  // in fold order
+  std::vector<std::int64_t> m;    // in fold order
+  // levels[i - 1] is the `a` operand fold level i combined with children[i];
+  // reporters re-derive the split of the one target they need from it.
+  // Empty when counting_only.
+  std::vector<Fold> levels;
 };
 
 // Reconstructs tuples for target `j` of the fold prefix ending at `level`
@@ -69,13 +78,15 @@ void ReportFold(const DecomposeState& s, std::size_t level, std::int64_t j,
                 const CancelToken& cancel, std::vector<TupleRef>& out) {
   std::int64_t target = j;
   for (std::size_t i = level; i >= 1; --i) {
-    const auto [k1, k2] = s.choices[i][target];
-    if (k2 > 0) {
+    const Fold& a = s.levels[i - 1];
+    const ProductChoice split = ProductSplit(
+        a.profile, a.m, s.children[i].profile, s.m[i], target);
+    if (split.k2 > 0) {
       cancel.ThrowIfCancelled();
-      std::vector<TupleRef> part = s.children[i].report(k2);
+      std::vector<TupleRef> part = s.children[i].report(split.k2);
       out.insert(out.end(), part.begin(), part.end());
     }
-    target = k1;
+    target = split.k1;
   }
   if (target > 0) {
     cancel.ThrowIfCancelled();
@@ -84,6 +95,27 @@ void ReportFold(const DecomposeState& s, std::size_t level, std::int64_t j,
   }
 }
 
+// Folds children[0..count-1] left to right with the cross-product DP, each
+// level capped at `cap`, keeping every level's `a` operand for ReportFold
+// unless counting_only.
+Fold FoldChildren(DecomposeState& s, std::size_t count, std::int64_t cap,
+                  const AdpOptions& options) {
+  const bool naive = options.decompose_strategy ==
+                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
+  Fold acc{s.children[0].profile, s.m[0]};
+  acc.profile.TruncateTo(cap);
+  for (std::size_t i = 1; i < count; ++i) {
+    ThrowIfCancelled(options);
+    CheckProfileLimit(std::min(cap, SatMul(acc.m, s.m[i])));
+    CostProfile next = CombineProduct(acc.profile, acc.m,
+                                      s.children[i].profile, s.m[i], cap,
+                                      naive);
+    const std::int64_t next_m = SatMul(acc.m, s.m[i]);
+    if (!options.counting_only) s.levels.push_back(std::move(acc));
+    acc = {std::move(next), next_m};
+  }
+  return acc;
+}
 
 // Full-enumeration (Eq. 2) support: finds the cheapest (k1..ks) vector with
 // >= j outputs removed; returns its cost and (optionally) the vector.
@@ -235,20 +267,8 @@ AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
     return node;
   }
 
-  const bool naive = options.decompose_strategy ==
-                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
-  CostProfile acc = state->children[0].profile;
-  acc.TruncateTo(out_kmax);
-  std::int64_t prefix_m = state->m[0];
-  state->choices.resize(state->children.size());
-  for (std::size_t i = 1; i < state->children.size(); ++i) {
-    acc = CombineProduct(acc, prefix_m, state->children[i].profile,
-                         state->m[i], out_kmax, naive,
-                         options.counting_only ? nullptr
-                                               : &state->choices[i]);
-    prefix_m = SatMul(prefix_m, state->m[i]);
-  }
-  node.profile = std::move(acc);
+  node.profile = FoldChildren(*state, state->children.size(), out_kmax,
+                              options).profile;
 
   if (!options.counting_only) {
     auto s = state;
@@ -291,66 +311,28 @@ DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
     return result;
   }
 
-  // Fold all but the largest component into a prefix profile, then scan the
-  // largest component's removal count k2 once, deriving the minimal prefix
-  // target k1 in closed form. This never materializes an array of length k.
+  // Fold all but the largest component into a prefix profile, then split
+  // the one target k between the prefix and the largest component. This
+  // never materializes an array of length k.
   auto state = BuildChildren(parts, k, options);
   for (const AdpNode& c : state->children) result.exact &= c.exact;
   const std::size_t n = state->children.size();
-  const bool naive = options.decompose_strategy ==
-                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
-
-  CostProfile prefix = state->children[0].profile;
-  std::int64_t prefix_m = state->m[0];
-  state->choices.resize(n);
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    ThrowIfCancelled(options);
-    const std::int64_t prefix_cap =
-        std::min(k, SatMul(prefix_m, state->m[i]));
-    CheckProfileLimit(prefix_cap);
-    prefix = CombineProduct(prefix, prefix_m, state->children[i].profile,
-                            state->m[i], prefix_cap, naive,
-                            options.counting_only ? nullptr
-                                                  : &state->choices[i]);
-    prefix_m = SatMul(prefix_m, state->m[i]);
-  }
-
+  const Fold prefix = FoldChildren(*state, n - 1, k, options);
   const AdpNode& last = state->children[n - 1];
-  const std::int64_t mb = state->m[n - 1];
   ThrowIfCancelled(options);
-  std::int64_t best_k1 = 0;
-  std::int64_t best_k2 = 0;
-  for (std::int64_t k2 = 0; k2 <= last.profile.kmax(); ++k2) {
-    std::int64_t k1;
-    if (k2 >= mb) {
-      k1 = 0;
-    } else {
-      const std::int64_t need = k - SatMul(k2, prefix_m);
-      if (need <= 0) {
-        k1 = 0;
-      } else {
-        const std::int64_t den = mb - k2;
-        k1 = (need + den - 1) / den;
-      }
-    }
-    if (k1 > prefix.kmax()) continue;
-    const std::int64_t c = prefix.At(k1) + last.profile.At(k2);
-    if (c < result.cost) {
-      result.cost = c;
-      best_k1 = k1;
-      best_k2 = k2;
-    }
-  }
+  const ProductChoice split =
+      ProductSplit(prefix.profile, prefix.m, last.profile, state->m[n - 1], k);
+  result.cost = split.cost;
 
   if (!options.counting_only && result.cost < kInfCost) {
     const CancelToken cancel = ReporterToken(options);
-    if (best_k2 > 0) {
+    if (split.k2 > 0) {
       cancel.ThrowIfCancelled();
-      std::vector<TupleRef> part = last.report(best_k2);
+      std::vector<TupleRef> part = last.report(split.k2);
       result.tuples.insert(result.tuples.end(), part.begin(), part.end());
     }
-    if (best_k1 > 0) {
-      ReportFold(*state, n - 2, best_k1, cancel, result.tuples);
+    if (split.k1 > 0) {
+      ReportFold(*state, n - 2, split.k1, cancel, result.tuples);
     }
   }
   return result;

@@ -2,12 +2,15 @@
 // recursively and combine under cross-product semantics.
 //
 // Three combination strategies are provided (Figure 29 ablation):
-//   * kImprovedDP       — §7.3 recurrence with the closed-form minimal k1
-//                         per (j, k2) pair;
+//   * kImprovedDP       — §7.3 recurrence evaluated over (k1, k2) pairs,
+//                         each visited once (CombineProduct);
 //   * kPairwiseNaive    — Algorithm 5 as printed, enumerating (k1, k2);
 //   * kFullEnumeration  — Eq. 2 of Lemma 3: enumerate all (k1..ks) vectors.
 //
-// The root of a ComputeADP call additionally uses a single-target scan
+// Witness splits are not tabulated: a reporter re-derives the (k1, k2)
+// split of the one target it serves with ProductSplit, level by level.
+//
+// The root of a ComputeADP call additionally uses a single-target split
 // (SolveDecomposeSingleK) that avoids materializing a profile of length k —
 // essential when k is a fraction of a cross-product-sized |Q(D)|.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace adp {
 
@@ -72,70 +73,95 @@ CostProfile CombineDisjoint(const CostProfile& a, const CostProfile& b,
   return CostProfile(std::move(out));
 }
 
-CostProfile CombineProduct(
-    const CostProfile& a, std::int64_t ma, const CostProfile& b,
-    std::int64_t mb, std::int64_t cap, bool naive_inner,
-    std::vector<std::pair<std::int64_t, std::int64_t>>* choice) {
-  const std::int64_t total = SatMul(ma, mb);
-  const std::int64_t out_kmax = std::min(cap, total);
+namespace {
+
+// k1*mb + k2*ma - k1*k2 outputs of the ma*mb products, saturated
+// (k2 <= mb).
+std::int64_t Removed(std::int64_t k1, std::int64_t ma, std::int64_t k2,
+                     std::int64_t mb) {
+  return SatAdd(SatMul(k1, mb - k2), SatMul(k2, ma));
+}
+
+}  // namespace
+
+CostProfile CombineProduct(const CostProfile& a, std::int64_t ma,
+                           const CostProfile& b, std::int64_t mb,
+                           std::int64_t cap, bool naive_inner) {
+  const std::int64_t out_kmax = std::min(cap, SatMul(ma, mb));
   std::vector<std::int64_t> out(static_cast<std::size_t>(out_kmax) + 1,
                                 kInfCost);
-  if (choice) choice->assign(out.size(), {0, 0});
   out[0] = 0;
 
-  auto removed = [&](std::int64_t k1, std::int64_t k2) {
-    // k1*mb + k2*ma - k1*k2, saturated.
-    return SatAdd(SatMul(k1, mb - k2), SatMul(k2, ma));
-  };
-
-  for (std::int64_t j = 1; j <= out_kmax; ++j) {
-    const std::int64_t k2_hi = std::min(b.kmax(), std::min(mb, j));
-    for (std::int64_t k2 = 0; k2 <= k2_hi; ++k2) {
-      const std::int64_t cb = b.At(k2);
-      if (cb >= kInfCost) break;  // profiles are monotone
-      if (naive_inner) {
-        // Original Algorithm 5 inner loop: enumerate every (k1, k2) pair
-        // and keep the cheapest feasible one — the Figure 29 "pairwise"
-        // strategy measures exactly this full scan.
+  if (naive_inner) {
+    // Original Algorithm 5 inner loop: per target, enumerate every (k1, k2)
+    // pair and keep the cheapest feasible one — the Figure 29 "pairwise"
+    // strategy measures exactly this full scan.
+    for (std::int64_t j = 1; j <= out_kmax; ++j) {
+      const std::int64_t k2_hi = std::min(b.kmax(), std::min(mb, j));
+      for (std::int64_t k2 = 0; k2 <= k2_hi; ++k2) {
+        const std::int64_t cb = b.At(k2);
+        if (cb >= kInfCost) break;  // profiles are monotone
         const std::int64_t k1_hi = std::min(a.kmax(), std::min(ma, j));
         for (std::int64_t k1 = 0; k1 <= k1_hi; ++k1) {
-          if (removed(k1, k2) < j) continue;
+          if (Removed(k1, ma, k2, mb) < j) continue;
           const std::int64_t c = a.At(k1) + cb;
-          if (c < out[j]) {
-            out[j] = c;
-            if (choice) (*choice)[j] = {k1, k2};
-          }
-        }
-      } else {
-        // Improved scan (§7.3): minimal feasible k1 in closed form.
-        std::int64_t k1;
-        if (k2 >= mb) {
-          k1 = 0;  // the whole b-factor is gone; everything is removed
-        } else {
-          const std::int64_t need = j - SatMul(k2, ma);
-          if (need <= 0) {
-            k1 = 0;
-          } else {
-            const std::int64_t den = mb - k2;
-            k1 = (need + den - 1) / den;
-          }
-        }
-        if (k1 > ma || k1 > a.kmax()) continue;
-        if (removed(k1, k2) < j) continue;  // paranoia vs. saturation
-        const std::int64_t c = a.At(k1) + cb;
-        if (c < out[j]) {
-          out[j] = c;
-          if (choice) (*choice)[j] = {k1, k2};
+          if (c < out[j]) out[j] = c;
         }
       }
     }
-    if (out[j] >= kInfCost) {
-      // Unreachable targets stay infeasible; keep monotonicity by clamping.
-      out[j] = kInfCost;
+    return CostProfile(std::move(out));
+  }
+
+  // Each feasible pair once: bucket its cost at r = min(removed, out_kmax);
+  // out[j] is then the suffix minimum over buckets r >= j.
+  const std::int64_t ka = std::min(a.kmax(), ma);
+  const std::int64_t kb = std::min(b.kmax(), mb);
+  for (std::int64_t k2 = 0; k2 <= kb; ++k2) {
+    const std::int64_t cb = b.At(k2);
+    if (cb >= kInfCost) break;  // profiles are monotone
+    for (std::int64_t k1 = 0; k1 <= ka; ++k1) {
+      const std::int64_t ca = a.At(k1);
+      if (ca >= kInfCost) break;
+      const std::int64_t r = std::min(Removed(k1, ma, k2, mb), out_kmax);
+      out[r] = std::min(out[r], ca + cb);
+      // removed is nondecreasing in k1: larger k1 only costs more.
+      if (r == out_kmax) break;
     }
-    if (out[j] < out[j - 1]) out[j] = out[j - 1];
+    // k1 = 0 already reached the cap, so every larger k2 lands in the same
+    // bucket at a cost >= b[k2].
+    if (SatMul(k2, ma) >= out_kmax) break;
+  }
+  for (std::int64_t j = out_kmax; j > 0; --j) {
+    out[j - 1] = std::min(out[j - 1], out[j]);
   }
   return CostProfile(std::move(out));
+}
+
+ProductChoice ProductSplit(const CostProfile& a, std::int64_t ma,
+                           const CostProfile& b, std::int64_t mb,
+                           std::int64_t j) {
+  ProductChoice best;
+  const std::int64_t k2_hi = std::min(b.kmax(), std::min(mb, j));
+  for (std::int64_t k2 = 0; k2 <= k2_hi; ++k2) {
+    const std::int64_t cb = b.At(k2);
+    if (cb >= kInfCost) break;  // profiles are monotone
+    // Minimal feasible k1 in closed form (§7.3); k2 == mb removes the whole
+    // b-factor and with it everything.
+    std::int64_t k1 = 0;
+    if (k2 < mb) {
+      const std::int64_t need = j - SatMul(k2, ma);
+      if (need > 0) {
+        const std::int64_t den = mb - k2;
+        k1 = (need + den - 1) / den;
+      }
+    }
+    if (k1 > ma || k1 > a.kmax()) continue;
+    // j beyond what the factors can remove, e.g. past ma*mb or saturation.
+    if (Removed(k1, ma, k2, mb) < j) continue;
+    const std::int64_t c = a.At(k1) + cb;
+    if (c < best.cost) best = {c, k1, k2};
+  }
+  return best;
 }
 
 }  // namespace adp

@@ -11,15 +11,18 @@
 //   * cross product (Decompose, Alg. 5): removing k1 of m1 and k2 of m2
 //     outputs removes k1*m2 + k2*m1 - k1*k2 of the m1*m2 products.
 //
-// CombineProduct implements the §7.3 "improved" recurrence: for each target
-// j and each k2 it derives the minimal feasible k1 in closed form, turning
-// the paper's O(k^2) inner enumeration into O(1).
+// CombineProduct evaluates the §7.3 "improved" cross-product DP output-
+// sensitively: every feasible pair (k1, k2) is visited once, its cost lands
+// in the bucket r = min(removed, K), and one suffix-min pass turns the
+// buckets into the profile. The k1 loop stops once r reaches K (removed is
+// nondecreasing in k1), so the work is O(min(ka, K+1)*kb + K) rather than
+// one kb-long scan per target. No split table is kept: ProductSplit
+// recovers the (k1, k2) split of the one target a reporter asks for.
 
 #ifndef ADP_SOLVER_PROFILE_H_
 #define ADP_SOLVER_PROFILE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/saturating.h"
@@ -85,14 +88,25 @@ CostProfile CombineDisjoint(const CostProfile& a, const CostProfile& b,
 /// `ma` outputs and `b` a factor with `mb` outputs:
 ///   out[j] = min over (k1,k2) with k1*mb + k2*ma - k1*k2 >= j
 ///            of a[k1] + b[k2].
-/// `naive_inner` selects the paper's original O(j^2) enumeration instead of
-/// the improved closed-form scan (used by the Fig. 29 ablation).
-/// If `choice` is non-null it receives, per j, the minimizing (k1, k2).
+/// `naive_inner` selects the paper's original per-target O(j^2) enumeration
+/// instead of the pair-bucketed scan (used by the Fig. 29 ablation).
 CostProfile CombineProduct(const CostProfile& a, std::int64_t ma,
                            const CostProfile& b, std::int64_t mb,
-                           std::int64_t cap, bool naive_inner,
-                           std::vector<std::pair<std::int64_t, std::int64_t>>*
-                               choice);
+                           std::int64_t cap, bool naive_inner);
+
+/// The cheapest split of one cross-product target j.
+struct ProductChoice {
+  std::int64_t cost = kInfCost;  // a[k1] + b[k2]; kInfCost if unreachable
+  std::int64_t k1 = 0;
+  std::int64_t k2 = 0;
+};
+
+/// Recovers the split behind CombineProduct(a, ma, b, mb, ...)[j]: for each
+/// k2 ascending, the minimal feasible k1 in closed form; the first strict
+/// minimum wins, which keeps witnesses deterministic. O(min(kb, j)).
+ProductChoice ProductSplit(const CostProfile& a, std::int64_t ma,
+                           const CostProfile& b, std::int64_t mb,
+                           std::int64_t j);
 
 }  // namespace adp
 

@@ -1,20 +1,25 @@
 // Decompose solver tests (Algorithm 5): cross-product accounting, agreement
 // of the three strategies (Fig 29), the root single-k fast path, sharded
-// component sub-solves (serial/sharded equivalence + cancellation), and an
-// oracle sweep.
+// component sub-solves (serial/sharded equivalence + cancellation), an
+// oracle sweep, and a witness regression lock over catalog families.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/thread_pool.h"
 #include "query/parser.h"
 #include "solver/decompose.h"
+#include "solver/plan.h"
 #include "solver/solution.h"
 #include "test_util.h"
+#include "util/hash.h"
+#include "workload/families.h"
 
 namespace adp {
 namespace {
@@ -274,6 +279,165 @@ TEST_P(DecomposeOracleSweep, OptimalForAllK) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, DecomposeOracleSweep,
                          ::testing::Range(0, 20));
+
+// --- Witness regression lock ------------------------------------------------
+//
+// Cost, exactness, AdpStats and the exact witness list of catalog families
+// whose solves run through nested Decompose folds, pinned to the values the
+// per-target split tables produced before splits were recovered at report
+// time. A change to the cross-product DP's evaluation order or tie-break
+// shows up here as a changed witness hash.
+
+using workload::CardinalityClass;
+using workload::DomainClass;
+using workload::FamilyInstance;
+using workload::FamilyShape;
+using workload::FamilySpec;
+using workload::HeadClass;
+
+// Binds a family's named database as a root database in body order, as
+// the engine does, so witnesses carry root relation indices.
+Database BindRoot(const FamilyInstance& inst) {
+  Database db(static_cast<std::size_t>(inst.query.num_relations()));
+  for (int i = 0; i < inst.query.num_relations(); ++i) {
+    for (std::size_t j = 0; j < inst.db.relation_names.size(); ++j) {
+      if (inst.db.relation_names[j] != inst.query.relation(i).name) continue;
+      RelationInstance rel = inst.db.db.rel(j);
+      rel.set_root_relation(i);
+      db.rel(static_cast<std::size_t>(i)) = std::move(rel);
+    }
+  }
+  return db;
+}
+
+// FNV-1a over the witness list rendered as "relation:row;" items.
+std::uint64_t WitnessHash(const std::vector<TupleRef>& tuples) {
+  std::string text;
+  for (const TupleRef& t : tuples) {
+    text += std::to_string(t.relation) + ":" + std::to_string(t.row) + ";";
+  }
+  return HashBytes(text.data(), text.size());
+}
+
+AdpStats Stats(int singleton, int universe, int decompose,
+               std::int64_t groups) {
+  AdpStats s;
+  s.singleton_nodes = singleton;
+  s.universe_nodes = universe;
+  s.decompose_nodes = decompose;
+  s.universe_groups = groups;
+  return s;
+}
+
+struct LockedSolve {
+  double ratio;
+  std::int64_t cost;
+  std::uint64_t witness_hash;
+};
+
+struct LockedFamily {
+  FamilySpec spec;
+  AdpStats stats;  // identical at every ratio
+  std::vector<LockedSolve> solves;
+};
+
+TEST(DecomposeWitnessLock, CatalogFamiliesKeepTheirWitnesses) {
+  constexpr std::uint64_t kSeed = 11;
+  const LockedFamily kLocked[] = {
+      {{FamilyShape::kDisconnected, 2, HeadClass::kFull,
+        CardinalityClass::kSmall, DomainClass::kMid},
+       Stats(146, 2, 74, 73),
+       {{0.10, 3, 0xafdf8ceb171fb018ULL},
+        {0.25, 8, 0x230b3999b9129845ULL},
+        {0.50, 18, 0xdd889b08ed967ed1ULL},
+        {0.75, 32, 0x82736a63968a5ee6ULL}}},
+      {{FamilyShape::kDisconnected, 3, HeadClass::kFull,
+        CardinalityClass::kSmall, DomainClass::kMid},
+       Stats(218, 3, 110, 109),
+       {{0.10, 4, 0x462c4a257965c47dULL},
+        {0.25, 10, 0x443c8c51a919fa24ULL},
+        {0.50, 20, 0x14cd7c388fb06d76ULL},
+        {0.75, 35, 0x6af716065a2839a9ULL}}},
+      {{FamilyShape::kChain, 2, HeadClass::kFull, CardinalityClass::kMedium,
+        DomainClass::kMid},
+       Stats(284, 1, 142, 142),
+       {{0.10, 13, 0xc70021e1016f36bfULL},
+        {0.25, 36, 0x4569aa91aee3aad6ULL},
+        {0.50, 84, 0x0355c5d972cc2fc2ULL},
+        {0.75, 148, 0xc43e16d5396ecc7fULL}}},
+      {{FamilyShape::kStar, 4, HeadClass::kFull, CardinalityClass::kMedium,
+        DomainClass::kSparse},
+       Stats(76, 1, 19, 19),
+       {{0.10, 1, 0x6ed9c10b6699550dULL},
+        {0.25, 2, 0xad4d261f4e8a56b1ULL},
+        {0.50, 4, 0x826e556ae4579826ULL},
+        {0.75, 9, 0x4f7010f87103b60eULL}}},
+  };
+  for (const LockedFamily& family : kLocked) {
+    const FamilyInstance inst = workload::MakeFamilyInstance(family.spec,
+                                                             kSeed);
+    SCOPED_TRACE(inst.name);
+    ASSERT_FALSE(inst.query.HasSelections());
+    const Database db = BindRoot(inst);
+    const DispatchPlan plan = BuildDispatchPlan(inst.query, AdpOptions{});
+    AdpOptions count_options;
+    count_options.plan = &plan;
+    const std::int64_t total =
+        ComputeAdp(inst.query, db, 0, count_options).output_count;
+    for (const LockedSolve& want : family.solves) {
+      SCOPED_TRACE(want.ratio);
+      const std::int64_t k = std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(want.ratio * total));
+      AdpStats stats;
+      AdpOptions options;
+      options.plan = &plan;
+      options.stats = &stats;
+      const AdpSolution sol = ComputeAdp(inst.query, db, k, options);
+      EXPECT_EQ(sol.cost, want.cost);
+      EXPECT_TRUE(sol.exact);
+      EXPECT_EQ(stats, family.stats);
+      EXPECT_EQ(WitnessHash(sol.tuples), want.witness_hash);
+    }
+  }
+}
+
+TEST(DecomposeWitnessLock, IntermediateWitnessesMatchTheProfile) {
+  // A streamed solve of a root Decompose over Universe components with
+  // nested Decompose nodes: every per-k witness group is recovered split by
+  // split at report time and must cost exactly the profile entry and remove
+  // at least j outputs.
+  const FamilyInstance inst = workload::MakeFamilyInstance(
+      {FamilyShape::kDisconnected, 2, HeadClass::kFull,
+       CardinalityClass::kSmall, DomainClass::kMid},
+      11);
+  const Database db = BindRoot(inst);
+  const DispatchPlan plan = BuildDispatchPlan(inst.query, AdpOptions{});
+  AdpOptions options;
+  options.plan = &plan;
+  constexpr std::int64_t kTargets = 120;
+
+  std::map<std::int64_t, std::int64_t> profile;
+  std::map<std::int64_t, std::vector<TupleRef>> witnesses;
+  AdpProgress progress;
+  progress.intermediate_witnesses = true;
+  progress.profile = [&](std::int64_t j, std::int64_t cost) {
+    profile[j] = cost;
+  };
+  progress.witnesses = [&](std::int64_t j, const std::vector<TupleRef>& w) {
+    witnesses[j] = w;
+  };
+  const AdpSolution sol =
+      ComputeAdp(inst.query, db, kTargets, options, &progress);
+  ASSERT_TRUE(sol.exact);
+  ASSERT_EQ(profile.size(), static_cast<std::size_t>(kTargets));
+  ASSERT_EQ(witnesses.size(), static_cast<std::size_t>(kTargets));
+  for (std::int64_t j = 1; j <= kTargets; ++j) {
+    const std::vector<TupleRef>& w = witnesses[j];
+    EXPECT_EQ(static_cast<std::int64_t>(w.size()), profile[j]) << "j=" << j;
+    EXPECT_GE(CountRemovedOutputs(inst.query, db, w), j) << "j=" << j;
+  }
+  EXPECT_EQ(sol.cost, profile[kTargets]);
+}
 
 }  // namespace
 }  // namespace adp
