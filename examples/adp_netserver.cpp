@@ -28,67 +28,28 @@
 // Engine knobs (--workers, --min-shard-*, --coalesce-window-ms,
 // --stream-batch-tuples) mean the same as for adp_server.
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "engine/engine.h"
+#include "flags.h"
 #include "net/server.h"
-
-namespace {
-
-std::int64_t ParseFlagValue(const std::string& arg, std::size_t prefix_len,
-                            std::int64_t min_value, std::int64_t max_value) {
-  const std::string value = arg.substr(prefix_len);
-  std::size_t pos = 0;
-  std::int64_t out = min_value - 1;
-  try {
-    out = std::stoll(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || value.empty() || out < min_value ||
-      out > max_value) {
-    std::cerr << "bad flag value: " << arg << "\n";
-    std::exit(1);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   adp::EngineConfig config;
   adp::net::NetServerConfig net;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (ParseEngineFlag(arg, config)) continue;
     if (arg.rfind("--host=", 0) == 0) {
       net.host = arg.substr(7);
     } else if (arg.rfind("--port=", 0) == 0) {
       net.port =
           static_cast<int>(ParseFlagValue(arg, 7, /*min_value=*/0,
                                           /*max_value=*/65535));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      config.num_workers = static_cast<int>(
-          ParseFlagValue(arg, 10, /*min_value=*/1, /*max_value=*/4096));
-    } else if (arg.rfind("--min-shard-groups=", 0) == 0) {
-      config.min_shard_groups = static_cast<std::size_t>(
-          ParseFlagValue(arg, 19, /*min_value=*/0, /*max_value=*/1 << 20));
-    } else if (arg.rfind("--min-shard-components=", 0) == 0) {
-      config.min_shard_components = static_cast<std::size_t>(
-          ParseFlagValue(arg, 23, /*min_value=*/0, /*max_value=*/1 << 20));
-    } else if (arg.rfind("--coalesce-window-ms=", 0) == 0) {
-      config.coalesce_window_ms = static_cast<double>(
-          ParseFlagValue(arg, 21, /*min_value=*/0, /*max_value=*/86'400'000));
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
       net.default_timeout_ms =
           ParseFlagValue(arg, 13, /*min_value=*/0, /*max_value=*/86'400'000);
-    } else if (arg.rfind("--stream-batch-tuples=", 0) == 0) {
-      config.stream_batch_tuples = static_cast<std::size_t>(
-          ParseFlagValue(arg, 22, /*min_value=*/0, /*max_value=*/1 << 24));
-    } else if (arg.rfind("--max-queue-depth=", 0) == 0) {
-      config.max_queue_depth = static_cast<std::size_t>(
-          ParseFlagValue(arg, 18, /*min_value=*/0, /*max_value=*/1 << 24));
     } else if (arg.rfind("--max-connections=", 0) == 0) {
       net.max_connections = static_cast<int>(
           ParseFlagValue(arg, 18, /*min_value=*/1, /*max_value=*/1 << 20));

@@ -3,15 +3,18 @@
 // Reads requests from a file (or stdin), executes them on AdpEngine's
 // worker pool, and prints one JSON-ish result line per request, in request
 // order. The command grammar and the result-line rendering live in
-// src/net/textproto.h, shared with the TCP front end (src/net/server.cc,
-// examples/adp_netserver.cpp) so the two cannot drift.
+// src/net/textproto.h and database names resolve through one net::Session
+// (src/net/session.h), both shared with the TCP front end
+// (src/net/server.cc, examples/adp_netserver.cpp) so the two cannot drift.
 //
 // Protocol (one command per line; '#' starts a comment):
 //
 //   DB <name> <Rel>=<row>/<row>/... <Rel>=...
 //       Registers a database. Rows are comma-separated integers; "()"
 //       denotes the empty tuple (vacuum instance); "<Rel>=" alone is an
-//       empty instance. Relations bind to query atoms by name.
+//       empty instance. Relations bind to query atoms by name. Pending
+//       requests finish first: re-registering a name releases the
+//       database it displaces.
 //
 //   REQ <db> <k> [+opt ...] <query>
 //       Submits ADP(query, db, k), e.g.:  REQ d1 2 Q(A) :- R1(A,B), R2(B)
@@ -89,17 +92,17 @@
 //   STREAM d1 3 Q(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)
 //   STATS
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "engine/engine.h"
+#include "flags.h"
+#include "net/session.h"
 #include "net/textproto.h"
 #include "obs/trace.h"
 
@@ -115,32 +118,10 @@ using adp::StatusCode;
 struct Pending {
   int id;
   std::string db_name;
-  std::string query_text;
   std::int64_t k;
   std::future<AdpResponse> future;
   AdpTicket ticket;
 };
-
-// Strict integer flag value in [min_value, max_value]: rejects trailing
-// junk, out-of-range, and non-numeric input with a usage error instead of
-// wrapping, clamping, or aborting.
-std::int64_t ParseFlagValue(const std::string& arg, std::size_t prefix_len,
-                            std::int64_t min_value, std::int64_t max_value) {
-  const std::string value = arg.substr(prefix_len);
-  std::size_t pos = 0;
-  std::int64_t out = min_value - 1;
-  try {
-    out = std::stoll(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || value.empty() || out < min_value ||
-      out > max_value) {
-    std::cerr << "bad flag value: " << arg << "\n";
-    std::exit(1);
-  }
-  return out;
-}
 
 /// Span tracing / slow-query-log settings (TRACE command, --trace-dir,
 /// --slow-ms).
@@ -199,20 +180,14 @@ void RunStreamCommand(AdpEngine& engine, int id, const std::string& db,
   }
 }
 
-void Drain(AdpEngine& engine, std::vector<Pending>& pending,
-           const TraceConfig& tc, Status& first_error) {
+void Drain(std::vector<Pending>& pending, const TraceConfig& tc,
+           Status& first_error) {
   for (Pending& p : pending) {
     const AdpResponse r = p.future.get();
     NoteStatus(r.status, first_error);
-    // Fetch the parsed query (a plan-cache hit) to render relation names.
-    std::shared_ptr<const adp::CachedPlan> plan;
-    if (r.ok()) {
-      AdpRequest probe;
-      probe.query_text = p.query_text;
-      plan = engine.PlanFor(probe);
-    }
-    std::cout << adp::net::FormatResponseLine(p.id, p.db_name, p.k, r,
-                                              plan ? &plan->query : nullptr)
+    std::cout << adp::net::FormatResponseLine(
+                     p.id, p.db_name, p.k, r,
+                     r.plan ? &r.plan->query : nullptr)
               << "\n";
     MaybeDumpTrace(tc, p.id, r.trace, r.queue_ms + r.total_ms);
   }
@@ -222,38 +197,16 @@ void Drain(AdpEngine& engine, std::vector<Pending>& pending,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int workers = 4;
-  std::size_t min_shard_groups = 4;
-  std::size_t min_shard_components = 4;
-  std::int64_t coalesce_window_ms = 0;
+  adp::EngineConfig config;
   std::int64_t timeout_ms = 0;
-  std::int64_t stream_batch_tuples = 256;
-  std::int64_t max_queue_depth = 0;
   TraceConfig trace_cfg;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<int>(ParseFlagValue(arg, 10, /*min_value=*/1,
-                                                /*max_value=*/4096));
-    } else if (arg.rfind("--min-shard-groups=", 0) == 0) {
-      min_shard_groups = static_cast<std::size_t>(
-          ParseFlagValue(arg, 19, /*min_value=*/0, /*max_value=*/1 << 20));
-    } else if (arg.rfind("--min-shard-components=", 0) == 0) {
-      min_shard_components = static_cast<std::size_t>(
-          ParseFlagValue(arg, 23, /*min_value=*/0, /*max_value=*/1 << 20));
-    } else if (arg.rfind("--coalesce-window-ms=", 0) == 0) {
-      coalesce_window_ms = ParseFlagValue(arg, 21, /*min_value=*/0,
-                                          /*max_value=*/86'400'000);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
+    if (ParseEngineFlag(arg, config)) continue;
+    if (arg.rfind("--timeout-ms=", 0) == 0) {
       timeout_ms = ParseFlagValue(arg, 13, /*min_value=*/0,
                                   /*max_value=*/86'400'000);
-    } else if (arg.rfind("--stream-batch-tuples=", 0) == 0) {
-      stream_batch_tuples = ParseFlagValue(arg, 22, /*min_value=*/0,
-                                           /*max_value=*/1 << 24);
-    } else if (arg.rfind("--max-queue-depth=", 0) == 0) {
-      max_queue_depth = ParseFlagValue(arg, 18, /*min_value=*/0,
-                                       /*max_value=*/1 << 24);
     } else if (arg.rfind("--trace-dir=", 0) == 0) {
       trace_cfg.dir = arg.substr(12);
     } else if (arg.rfind("--slow-ms=", 0) == 0) {
@@ -274,15 +227,8 @@ int main(int argc, char** argv) {
   }
   std::istream& in = path.empty() ? std::cin : file;
 
-  adp::EngineConfig config;
-  config.num_workers = workers;
-  config.min_shard_groups = min_shard_groups;
-  config.min_shard_components = min_shard_components;
-  config.coalesce_window_ms = static_cast<double>(coalesce_window_ms);
-  config.stream_batch_tuples = static_cast<std::size_t>(stream_batch_tuples);
-  config.max_queue_depth = static_cast<std::size_t>(max_queue_depth);
   AdpEngine engine(config);
-  std::unordered_map<std::string, adp::DbId> dbs;
+  adp::net::Session session(engine, timeout_ms);
   std::vector<Pending> pending;
   Status first_error;
   int next_id = 0;
@@ -296,29 +242,17 @@ int main(int argc, char** argv) {
 
     try {
       if (toks[0] == "DB") {
-        adp::net::ParsedDb parsed = adp::net::ParseDbLine(toks);
-        dbs[parsed.name] = engine.RegisterDatabase(std::move(parsed.db));
+        // A queued request must never find its database released.
+        Drain(pending, trace_cfg, first_error);
+        session.RegisterDb(toks);
       } else if (toks[0] == "REQ") {
-        adp::net::ParsedRequest parsed = adp::net::ParseRequestLine(
-            toks, "REQ <db> <k> [+opt ...] <query>", timeout_ms);
-        auto it = dbs.find(parsed.db_name);
-        if (it == dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
+        adp::net::ParsedRequest parsed = session.Resolve(toks);
         parsed.req.collect_trace = trace_cfg.collect();
-        Pending p{next_id++, parsed.db_name, parsed.query_text, parsed.req.k,
-                  {}, {}};
+        Pending p{next_id++, parsed.db_name, parsed.req.k, {}, {}};
         p.future = engine.Submit(std::move(parsed.req), &p.ticket);
         pending.push_back(std::move(p));
       } else if (toks[0] == "STREAM") {
-        adp::net::ParsedRequest parsed = adp::net::ParseRequestLine(
-            toks, "STREAM <db> <k> [+opt ...] <query>", timeout_ms);
-        auto it = dbs.find(parsed.db_name);
-        if (it == dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
+        adp::net::ParsedRequest parsed = session.Resolve(toks);
         parsed.req.collect_trace = trace_cfg.collect();
         RunStreamCommand(engine, next_id++, parsed.db_name,
                          std::move(parsed.req), trace_cfg, first_error);
@@ -336,10 +270,10 @@ int main(int argc, char** argv) {
         std::cout << "{\"cancelled\":" << cancelled
                   << ",\"pending\":" << pending.size() << "}\n";
       } else if (toks[0] == "METRICS") {
-        Drain(engine, pending, trace_cfg, first_error);
+        Drain(pending, trace_cfg, first_error);
         engine.WriteMetricsText(std::cout);
       } else if (toks[0] == "STATS") {
-        Drain(engine, pending, trace_cfg, first_error);
+        Drain(pending, trace_cfg, first_error);
         std::cout << adp::net::FormatStatsJson(engine) << "\n";
       } else {
         throw std::runtime_error("unknown command " + toks[0]);
@@ -352,6 +286,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  Drain(engine, pending, trace_cfg, first_error);
+  Drain(pending, trace_cfg, first_error);
   return StatusExitCode(first_error.code());
 }

@@ -39,6 +39,18 @@ class EngineError : public std::runtime_error {
   StatusCode code_;
 };
 
+/// An atom reads its instance's columns by position, so a width mismatch
+/// would index past them (or silently drop some): fail the bind instead.
+/// An instance with no rows has no width yet and binds to any atom.
+void CheckArity(const RelationInstance& inst, const RelationSchema& atom) {
+  if (inst.empty() || inst.arity() == atom.attrs.size()) return;
+  throw EngineError(StatusCode::kInvalidArgument,
+                    "relation " + atom.name + " has arity " +
+                        std::to_string(inst.arity()) +
+                        ", but its query atom has arity " +
+                        std::to_string(atom.attrs.size()));
+}
+
 AdpResponse FailureResponse(Status status) {
   AdpResponse resp;
   resp.status = std::move(status);
@@ -571,11 +583,15 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
               std::to_string(named->db.num_relations()) +
               " relations, query has " + std::to_string(q.num_relations()));
     }
+    for (int i = 0; i < q.num_relations(); ++i) {
+      CheckArity(named->db.rel(static_cast<std::size_t>(i)), q.relation(i));
+    }
     return std::shared_ptr<const Database>(named, &named->db);
   }
 
   // Named database: bind by relation name, memoized per (DbId, body name
-  // sequence) so batches share one bound copy.
+  // sequence) so batches share one bound copy. The key says nothing about
+  // atom arities, so a hit is checked like a fresh bind.
   std::string key = std::to_string(id);
   for (int i = 0; i < q.num_relations(); ++i) {
     key += '|';
@@ -586,6 +602,10 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
     auto it = bindings_.find(key);
     if (it != bindings_.end()) {
       binding_hits_->Increment();
+      for (int i = 0; i < q.num_relations(); ++i) {
+        CheckArity(it->second->rel(static_cast<std::size_t>(i)),
+                   q.relation(i));
+      }
       return it->second;
     }
     binding_misses_->Increment();
@@ -598,6 +618,7 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
     bool found = false;
     for (std::size_t j = 0; j < named->relation_names.size(); ++j) {
       if (named->relation_names[j] == name) {
+        CheckArity(named->db.rel(j), q.relation(i));
         RelationInstance inst = named->db.rel(j);
         inst.set_root_relation(i);
         bound->rel(static_cast<std::size_t>(i)) = std::move(inst);
@@ -693,6 +714,7 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req,
     resp.plan_cache_hit = work.plan_cache_hit;
     resp.plan_ms = work.plan_ms;
     resp.fingerprint = work.plan->fingerprint;
+    resp.plan = work.plan;
     if (work.bound == nullptr) {
       work.bound = BindRequest(req, *work.plan, sink.get(), root.id());
     }

@@ -154,6 +154,12 @@ struct AdpResponse {
   /// 64-bit canonical fingerprint of the (parsed) query.
   std::uint64_t fingerprint = 0;
 
+  /// The plan this request was solved with (parsed query included, so
+  /// front ends render relation names without probing the plan cache
+  /// again). Null when the request failed before planning; deduped and
+  /// coalesced responses carry the leader's plan.
+  std::shared_ptr<const CachedPlan> plan;
+
   /// True iff the static work was served without building (a plan-cache
   /// hit, or a PreparedQuery pin).
   bool plan_cache_hit = false;

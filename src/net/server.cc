@@ -7,17 +7,16 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "net/session.h"
 #include "net/textproto.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -78,7 +77,7 @@ bool AppendFrameOrError(std::string& out, FrameType type,
 // --- Cross-thread plumbing ---------------------------------------------------
 
 /// Self-pipe waker: engine-worker completion callbacks write one byte to
-/// nudge a possibly-sleeping poll/epoll wait. Owned shared so callbacks
+/// nudge a possibly-sleeping poll() wait. Owned shared so callbacks
 /// that outlive the server still have a live (if now pointless) fd.
 struct AdpNetServer::Waker {
   int fds[2] = {-1, -1};
@@ -117,101 +116,12 @@ struct AdpNetServer::Outbox {
   bool dead = false;
 };
 
-// --- Poll backends -----------------------------------------------------------
-
-class AdpNetServer::Poller {
- public:
-  static constexpr unsigned kRead = 1, kWrite = 2, kErr = 4;
-
-  virtual ~Poller() = default;
-
-  /// Registers or updates the interest set of `fd`.
-  virtual void Update(int fd, unsigned events) = 0;
-  virtual void Remove(int fd) = 0;
-
-  /// Blocks up to `timeout_ms`; appends (fd, ready-events) pairs.
-  virtual void Wait(int timeout_ms,
-                    std::vector<std::pair<int, unsigned>>* ready) = 0;
-};
-
-class AdpNetServer::PollPoller : public Poller {
- public:
-  void Update(int fd, unsigned events) override { want_[fd] = events; }
-  void Remove(int fd) override { want_.erase(fd); }
-
-  void Wait(int timeout_ms,
-            std::vector<std::pair<int, unsigned>>* ready) override {
-    fds_.clear();
-    for (const auto& [fd, events] : want_) {
-      short mask = 0;
-      if (events & kRead) mask |= POLLIN;
-      if (events & kWrite) mask |= POLLOUT;
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    const int n = poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      unsigned events = 0;
-      if (p.revents & POLLIN) events |= kRead;
-      if (p.revents & POLLOUT) events |= kWrite;
-      if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) events |= kErr;
-      if (events != 0) ready->emplace_back(p.fd, events);
-    }
-  }
-
- private:
-  std::unordered_map<int, unsigned> want_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class AdpNetServer::EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  void Update(int fd, unsigned events) override {
-    auto it = want_.find(fd);
-    if (it != want_.end() && it->second == events) return;  // no-op churn
-    epoll_event ev{};
-    ev.data.fd = fd;
-    if (events & kRead) ev.events |= EPOLLIN;
-    if (events & kWrite) ev.events |= EPOLLOUT;
-    const int op = it == want_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    if (epoll_ctl(epfd_, op, fd, &ev) == 0) want_[fd] = events;
-  }
-
-  void Remove(int fd) override {
-    if (want_.erase(fd) > 0) epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  void Wait(int timeout_ms,
-            std::vector<std::pair<int, unsigned>>* ready) override {
-    epoll_event evs[64];
-    const int n = epoll_wait(epfd_, evs, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      unsigned events = 0;
-      if (evs[i].events & EPOLLIN) events |= kRead;
-      if (evs[i].events & EPOLLOUT) events |= kWrite;
-      if (evs[i].events & (EPOLLERR | EPOLLHUP)) events |= kErr;
-      const int fd = evs[i].data.fd;  // copy out of the packed union
-      if (events != 0) ready->emplace_back(fd, events);
-    }
-  }
-
- private:
-  int epfd_;
-  std::unordered_map<int, unsigned> want_;
-};
-#endif  // __linux__
-
 // --- Per-connection state ----------------------------------------------------
 
 struct AdpNetServer::Conn {
+  Conn(AdpEngine& engine, std::int64_t default_timeout_ms)
+      : session(engine, default_timeout_ms) {}
+
   int fd = -1;
   std::int64_t conn_id = 0;
   FrameReader reader;
@@ -226,11 +136,10 @@ struct AdpNetServer::Conn {
   // Worker-thread handoff (see Outbox).
   std::shared_ptr<Outbox> outbox;
 
-  // Connection-scoped namespaces: databases registered over this
-  // connection, prepared handles, in-flight request tickets, open streams.
-  std::unordered_map<std::string, DbId> dbs;
-  std::unordered_map<std::int64_t, PreparedQuery> prepared;
-  std::int64_t next_prepared = 1;
+  // Connection-scoped namespaces: databases and prepared handles (the
+  // session releases its databases when the connection goes), in-flight
+  // request tickets, open streams.
+  Session session;
   std::unordered_map<std::int64_t, AdpTicket> tickets;
 
   struct StreamRun {
@@ -250,15 +159,16 @@ struct AdpNetServer::Conn {
     return n;
   }
 
-  /// True while `id` still names an in-flight ticket or open stream.
+  /// Throws while `id` still names an in-flight ticket or open stream.
   /// Finished tickets are retired every pump, so an id is reusable as
   /// soon as its reply has been framed.
-  bool IdInFlight(std::int64_t id) const {
-    if (tickets.count(id) > 0) return true;
-    for (const auto& run : streams) {
-      if (run.id == id) return true;
+  void RequireIdFree(std::int64_t id) const {
+    bool busy = tickets.count(id) > 0;
+    for (const auto& run : streams) busy = busy || run.id == id;
+    if (busy) {
+      throw std::runtime_error("correlation id " + std::to_string(id) +
+                               " already in flight");
     }
-    return false;
   }
 };
 
@@ -318,16 +228,6 @@ Status AdpNetServer::Start() {
   if (!waker_->Open()) {
     return Status(StatusCode::kInternal, "waker pipe failed");
   }
-#ifdef __linux__
-  if (!config_.force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) poller_ = std::move(epoll);
-  }
-#endif
-  if (poller_ == nullptr) poller_ = std::make_unique<PollPoller>();
-  poller_->Update(listen_fd_, Poller::kRead);
-  poller_->Update(waker_->fds[0], Poller::kRead);
-
   started_ = true;
   stop_.store(false);
   loop_ = std::thread([this] { Loop(); });
@@ -349,7 +249,7 @@ void AdpNetServer::Stop() {
 }
 
 void AdpNetServer::Loop() {
-  std::vector<std::pair<int, unsigned>> ready;
+  std::vector<pollfd> fds;
   while (!stop_.load(std::memory_order_relaxed)) {
     bool streams_active = false;
     for (auto& [fd, conn] : conns_) {
@@ -361,6 +261,9 @@ void AdpNetServer::Loop() {
     // mutates conns_, so it must never run inside an iteration).
     std::vector<int> finished;
     std::int64_t queued_bytes = 0;
+    fds.clear();
+    fds.push_back(pollfd{waker_->fds[0], POLLIN, 0});
+    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
       const std::size_t backlog = conn->outbuf.size() - conn->outpos;
       queued_bytes += static_cast<std::int64_t>(backlog);
@@ -368,8 +271,10 @@ void AdpNetServer::Loop() {
         finished.push_back(fd);
         continue;
       }
-      poller_->Update(fd,
-                      Poller::kRead | (backlog > 0 ? Poller::kWrite : 0u));
+      // POLLOUT only wakes the loop: the pump at the top of the next
+      // iteration flushes.
+      const short events = backlog > 0 ? POLLIN | POLLOUT : POLLIN;
+      fds.push_back(pollfd{fd, events, 0});
     }
     outbound_queue_bytes_->Set(queued_bytes);
     for (int fd : finished) CloseConn(fd);
@@ -377,27 +282,21 @@ void AdpNetServer::Loop() {
     // Streams have no completion callback into the loop — their items are
     // pulled — so poll briskly while any are open; otherwise sleep until a
     // socket or the waker fires.
-    ready.clear();
-    poller_->Wait(streams_active ? 2 : 200, &ready);
+    if (poll(fds.data(), fds.size(), streams_active ? 2 : 200) <= 0) continue;
 
-    for (const auto& [fd, events] : ready) {
-      if (fd == waker_->fds[0]) {
+    for (const pollfd& p : fds) {
+      if (p.revents == 0) continue;
+      if (p.fd == waker_->fds[0]) {
         waker_->Drain();
-        continue;
-      }
-      if (fd == listen_fd_) {
+      } else if (p.fd == listen_fd_) {
         AcceptAll();
-        continue;
+      } else if (auto it = conns_.find(p.fd); it != conns_.end()) {
+        if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) {
+          CloseConn(p.fd);
+        } else if (p.revents & POLLIN) {
+          ReadConn(*it->second);
+        }
       }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      if (events & Poller::kErr) {
-        CloseConn(fd);
-        continue;
-      }
-      if (events & Poller::kRead) ReadConn(*it->second);
-      // kWrite: the pump at the top of the next iteration flushes; no
-      // separate handling avoids double bookkeeping.
     }
   }
 }
@@ -414,12 +313,11 @@ void AdpNetServer::AcceptAll() {
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     SuppressSigpipe(fd);
-    auto conn = std::make_unique<Conn>();
+    auto conn = std::make_unique<Conn>(engine_, config_.default_timeout_ms);
     conn->fd = fd;
     conn->conn_id = next_conn_id_++;
     conn->outbox = std::make_shared<Outbox>();
     conns_[fd] = std::move(conn);
-    poller_->Update(fd, Poller::kRead);
     connections_total_->Increment();
     open_connections_->Set(static_cast<std::int64_t>(conns_.size()));
   }
@@ -486,11 +384,18 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
       return;
     }
     const std::vector<std::string> toks = SplitWs(payload);
+    const auto version = [](const std::string& tok) {
+      const std::int64_t v = ParseOptionInt(tok, 0, "version");
+      if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::runtime_error("bad version: " + tok);
+      }
+      return static_cast<std::uint32_t>(v);
+    };
     std::uint32_t lo = 0, hi = 0;
     try {
       if (toks.size() != 2) throw std::runtime_error("HELLO <min> <max>");
-      lo = static_cast<std::uint32_t>(std::stoul(toks[0]));
-      hi = static_cast<std::uint32_t>(std::stoul(toks[1]));
+      lo = version(toks[0]);
+      hi = version(toks[1]);
     } catch (const std::exception&) {
       protocol_errors_->Increment();
       SendError(conn, 0, StatusCode::kInvalidArgument,
@@ -528,48 +433,25 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
     const std::vector<std::string> toks = SplitWs(rest);
     switch (static_cast<FrameType>(type)) {
       case FrameType::kDb: {
-        ParsedDb parsed = ParseDbLine(toks);
-        const DbId fresh = engine_.RegisterDatabase(std::move(parsed.db));
-        auto [dit, inserted] = conn.dbs.emplace(parsed.name, fresh);
-        if (!inserted) {
-          // Re-registering a name displaces the old instance; release it
-          // so repeated DB frames cannot grow engine memory without bound.
-          engine_.UnregisterDatabase(dit->second);
-          dit->second = fresh;
-        }
+        const std::string name = conn.session.RegisterDb(toks);
         SendFrame(conn, static_cast<std::uint8_t>(FrameType::kDbOk),
-                  std::to_string(id) + " {\"db\":\"" +
-                      JsonEscape(parsed.name) + "\"}");
+                  std::to_string(id) + " {\"db\":\"" + JsonEscape(name) +
+                      "\"}");
         break;
       }
-      case FrameType::kReq: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        ParsedRequest parsed =
-            ParseRequestLine(toks, "REQ <db> <k> [+opt ...] <query>",
-                             config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
+      case FrameType::kReq:
+      case FrameType::kExec: {
+        conn.RequireIdFree(id);
+        ParsedRequest parsed = conn.session.Resolve(toks);
         conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
         const std::int64_t k = parsed.req.k;
-        AdpTicket ticket = engine_.SubmitAsync(
+        conn.tickets[id] = engine_.SubmitAsync(
             std::move(parsed.req),
-            [engine = &engine_, outbox = conn.outbox, waker = waker_,
-             frames_out = frames_out_, id, db_name = parsed.db_name, k,
-             query_text = parsed.query_text](AdpResponse resp) {
-              std::shared_ptr<const CachedPlan> plan;
-              if (resp.ok()) {
-                AdpRequest probe;
-                probe.query_text = query_text;
-                plan = engine->PlanFor(probe);
-              }
+            [outbox = conn.outbox, waker = waker_, frames_out = frames_out_,
+             id, db_name = std::move(parsed.db_name), k](AdpResponse resp) {
               const std::string line = FormatResponseLine(
-                  id, db_name, k, resp, plan ? &plan->query : nullptr,
+                  id, db_name, k, resp,
+                  resp.plan ? &resp.plan->query : nullptr,
                   kResultWitnessByteBudget);
               std::string framed;
               AppendFrameOrError(framed, FrameType::kResult,
@@ -582,105 +464,33 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
               frames_out->Increment();
               waker->Wake();
             });
-        conn.tickets[id] = std::move(ticket);
         break;
       }
       case FrameType::kStream: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        ParsedRequest parsed =
-            ParseRequestLine(toks, "STREAM <db> <k> [+opt ...] <query>",
-                             config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
+        conn.RequireIdFree(id);
+        ParsedRequest parsed = conn.session.Resolve(toks);
         conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
         Conn::StreamRun run;
         run.id = id;
         run.db_name = parsed.db_name;
-        run.plan = engine_.PlanFor(parsed.req);  // names; null on bad query
+        // Witness batches render before any response exists, so the names
+        // come from a plan probe up front (null on a bad query).
+        run.plan = engine_.PlanFor(parsed.req);
         run.stream = engine_.StreamAdp(std::move(parsed.req));
         conn.streams.push_back(std::move(run));
         break;
       }
       case FrameType::kPrepare: {
-        if (toks.size() < 2 || toks[0] != "PREPARE") {
-          throw std::runtime_error("PREPARE <query>");
-        }
-        std::string query_text;
-        for (std::size_t i = 1; i < toks.size(); ++i) {
-          if (i > 1) query_text += ' ';
-          query_text += toks[i];
-        }
-        StatusOr<PreparedQuery> prepared = engine_.Prepare(query_text);
-        if (!prepared.ok()) {
+        StatusOr<std::int64_t> handle = conn.session.Prepare(toks);
+        if (!handle.ok()) {
           protocol_errors_->Increment();
-          SendError(conn, id, prepared.status().code(),
-                    prepared.status().message());
+          SendError(conn, id, handle.status().code(),
+                    handle.status().message());
           break;
         }
-        const std::int64_t handle = conn.next_prepared++;
-        conn.prepared[handle] = std::move(prepared).value();
         SendFrame(conn, static_cast<std::uint8_t>(FrameType::kPrepared),
                   std::to_string(id) + " {\"prepared\":" +
-                      std::to_string(handle) + "}");
-        break;
-      }
-      case FrameType::kExec: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        // EXEC <handle> <db> <k> [+opt ...]
-        if (toks.size() < 4 || toks[0] != "EXEC") {
-          throw std::runtime_error("EXEC <handle> <db> <k> [+opt ...]");
-        }
-        const std::int64_t handle = std::stoll(toks[1]);
-        auto pit = conn.prepared.find(handle);
-        if (pit == conn.prepared.end()) {
-          throw std::runtime_error("unknown prepared handle " + toks[1]);
-        }
-        // Rewrite as a REQ-shaped line so option parsing stays shared;
-        // the query slot is a placeholder (the prepared handle wins).
-        std::vector<std::string> req_toks = {"EXEC", toks[2], toks[3]};
-        req_toks.insert(req_toks.end(), toks.begin() + 4, toks.end());
-        req_toks.push_back("-");
-        ParsedRequest parsed = ParseRequestLine(
-            req_toks, "EXEC <handle> <db> <k> [+opt ...]",
-            config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.query_text.clear();
-        parsed.req.prepared = pit->second;
-        parsed.req.db = it->second;
-        conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
-        std::shared_ptr<const CachedPlan> plan = pit->second.plan();
-        const std::int64_t k = parsed.req.k;
-        AdpTicket ticket = engine_.SubmitAsync(
-            std::move(parsed.req),
-            [outbox = conn.outbox, waker = waker_, frames_out = frames_out_,
-             id, db_name = parsed.db_name, k, plan](AdpResponse resp) {
-              const std::string line = FormatResponseLine(
-                  id, db_name, k, resp, plan ? &plan->query : nullptr,
-                  kResultWitnessByteBudget);
-              std::string framed;
-              AppendFrameOrError(framed, FrameType::kResult,
-                                 std::to_string(id) + ' ' + line);
-              {
-                std::lock_guard<std::mutex> lock(outbox->mu);
-                if (outbox->dead) return;
-                outbox->buf += framed;
-              }
-              frames_out->Increment();
-              waker->Wake();
-            });
-        conn.tickets[id] = std::move(ticket);
+                      std::to_string(*handle) + "}");
         break;
       }
       case FrameType::kCancel: {
@@ -691,7 +501,7 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         }
         int cancelled = 0;
         if (toks.size() == 2) {
-          const std::int64_t target = std::stoll(toks[1]);
+          const std::int64_t target = ParseOptionInt(toks[1], 0, "target id");
           auto tit = conn.tickets.find(target);
           if (tit != conn.tickets.end() && tit->second.Cancel()) ++cancelled;
           for (auto& run : conn.streams) {
@@ -818,18 +628,13 @@ void AdpNetServer::CloseConn(int fd) {
   // cancelled (queued ones never solve).
   for (auto& run : conn.streams) run.stream.Close();
   for (auto& [id, ticket] : conn.tickets) ticket.Cancel();
-  // Connection-scoped databases go with the connection (in-flight holders
-  // keep the data alive until they unwind); without this, reconnect loops
-  // would accumulate registrations in the engine forever.
-  for (const auto& [name, db] : conn.dbs) engine_.UnregisterDatabase(db);
   {
     std::lock_guard<std::mutex> lock(conn.outbox->mu);
     conn.outbox->dead = true;
     conn.outbox->buf.clear();
   }
-  poller_->Remove(fd);
   close(fd);
-  conns_.erase(it);
+  conns_.erase(it);  // the session releases the connection's databases
   open_connections_->Set(static_cast<std::int64_t>(conns_.size()));
 }
 

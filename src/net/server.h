@@ -1,11 +1,13 @@
 // AdpNetServer: the concurrent TCP front door of AdpEngine.
 //
 // One event-loop thread multiplexes every connection with non-blocking
-// sockets — epoll on Linux, poll elsewhere (or with
-// NetServerConfig::force_poll) — and hands parsed requests to the engine's
-// own worker pool via SubmitAsync/StreamAdp. No thread-per-connection:
-// solve completions are appended to a per-connection outbox by the worker
-// that finished them and flushed by the loop when the socket is writable.
+// sockets and one poll() call per iteration, and hands parsed requests to
+// the engine's own worker pool via SubmitAsync/StreamAdp. No
+// thread-per-connection: solve completions are appended to a
+// per-connection outbox by the worker that finished them and flushed by
+// the loop when the socket is writable. Each connection owns one
+// net::Session (net/session.h) — its databases and prepared handles — so
+// the text verbs resolve exactly as they do in examples/adp_server.cpp.
 //
 // Stream push and backpressure: a STREAM verb opens a ResultStream and the
 // loop pumps ResultStream::TryNext into kStreamItem frames while the
@@ -62,10 +64,6 @@ struct NetServerConfig {
   /// Default deadline for REQ/STREAM/EXEC in milliseconds from arrival
   /// (0 = none). A +d option on the request line overrides it.
   std::int64_t default_timeout_ms = 0;
-
-  /// Use the portable poll() backend even where epoll is available
-  /// (exercised by tests so both backends stay correct).
-  bool force_poll = false;
 };
 
 class AdpNetServer {
@@ -95,11 +93,6 @@ class AdpNetServer {
   struct Conn;
   struct Outbox;
   struct Waker;
-  class Poller;
-  class PollPoller;
-#ifdef __linux__
-  class EpollPoller;
-#endif
 
   void Loop();
   void AcceptAll();
@@ -129,7 +122,6 @@ class AdpNetServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::shared_ptr<Waker> waker_;
-  std::unique_ptr<Poller> poller_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
   std::thread loop_;

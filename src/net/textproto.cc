@@ -1,6 +1,7 @@
 #include "net/textproto.h"
 
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -28,6 +29,22 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::int64_t ParseOptionInt(const std::string& tok, std::size_t prefix_len,
+                            const char* what) {
+  const std::string value = tok.substr(prefix_len);
+  std::size_t pos = 0;
+  std::int64_t out = 0;
+  try {
+    out = std::stoll(value, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (value.empty() || pos != value.size()) {
+    throw std::runtime_error(std::string("bad ") + what + ": " + tok);
+  }
+  return out;
+}
+
 std::pair<std::string, RelationInstance> ParseRelationSpec(
     const std::string& spec) {
   const std::size_t eq = spec.find('=');
@@ -46,7 +63,7 @@ std::pair<std::string, RelationInstance> ParseRelationSpec(
       std::istringstream rin(row);
       std::string val;
       while (std::getline(rin, val, ',')) {
-        tuple.push_back(static_cast<Value>(std::stoll(val)));
+        tuple.push_back(ParseOptionInt(val, 0, "value"));
       }
     }
     out.second.Add(std::move(tuple));
@@ -66,37 +83,13 @@ ParsedDb ParseDbLine(const std::vector<std::string>& toks) {
   return out;
 }
 
-namespace {
-
-// Strict integer option value: rejects empty, trailing junk, and overflow.
-std::int64_t ParseOptionInt(const std::string& tok, std::size_t prefix_len) {
-  const std::string value = tok.substr(prefix_len);
-  std::size_t pos = 0;
-  std::int64_t out = 0;
-  try {
-    out = std::stoll(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size()) {
-    throw std::runtime_error("bad option value: " + tok);
-  }
-  return out;
-}
-
-}  // namespace
-
 ParsedRequest ParseRequestLine(const std::vector<std::string>& toks,
                                const char* usage,
                                std::int64_t default_timeout_ms) {
   if (toks.size() < 3) throw std::runtime_error(usage);
   ParsedRequest out;
   out.db_name = toks[1];
-  try {
-    out.req.k = std::stoll(toks[2]);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad k: " + toks[2]);
-  }
+  out.req.k = ParseOptionInt(toks[2], 0, "k");
   if (default_timeout_ms > 0) {
     out.req.deadline = Now() + std::chrono::milliseconds(default_timeout_ms);
   }
@@ -106,7 +99,12 @@ ParsedRequest ParseRequestLine(const std::vector<std::string>& toks,
     if (tok == "+iw") {
       out.req.stream_intermediate_witnesses = true;
     } else if (tok.rfind("+p", 0) == 0) {
-      out.req.priority = static_cast<int>(ParseOptionInt(tok, 2));
+      const std::int64_t priority = ParseOptionInt(tok, 2);
+      if (priority < std::numeric_limits<int>::min() ||
+          priority > std::numeric_limits<int>::max()) {
+        throw std::runtime_error("bad option value: " + tok);
+      }
+      out.req.priority = static_cast<int>(priority);
     } else if (tok.rfind("+d", 0) == 0) {
       const std::int64_t ms = ParseOptionInt(tok, 2);
       if (ms < 0) throw std::runtime_error("bad option value: " + tok);

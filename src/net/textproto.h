@@ -1,8 +1,10 @@
 // Shared text-protocol parsing and JSON rendering for the two ADP front
 // ends: the stdin line driver (examples/adp_server.cpp) and the TCP server
 // (src/net/server.cc). Both parse the same command grammar and emit the
-// same JSON-ish result lines through these helpers, so the front ends
-// cannot drift — tests/textproto_test.cc regression-tests the grammar and
+// same JSON-ish result lines through these helpers, and both resolve
+// database names and prepared handles through one net::Session
+// (net/session.h), so the front ends cannot drift —
+// tests/textproto_test.cc regression-tests the grammar and
 // tests/net_test.cc proves the network path renders answers identical to
 // direct AdpEngine calls.
 //
@@ -45,6 +47,12 @@ std::vector<std::string> SplitWs(const std::string& line);
 /// Escapes '"' and '\' for embedding in a JSON string literal.
 std::string JsonEscape(const std::string& s);
 
+/// Strict integer: the whole of `tok` after its first `prefix_len` chars
+/// must be one in-range int64 (no empty value, trailing junk, or
+/// overflow); anything else throws "bad <what>: <tok>".
+std::int64_t ParseOptionInt(const std::string& tok, std::size_t prefix_len,
+                            const char* what = "option value");
+
 /// Parses one "R1=11,21/12,22" relation spec into (name, instance).
 /// "()" denotes the empty tuple (vacuum instance); "R1=" alone is an empty
 /// instance.
@@ -61,9 +69,9 @@ struct ParsedDb {
 ParsedDb ParseDbLine(const std::vector<std::string>& toks);
 
 /// The shared "<CMD> <db> <k> [+opt ...] <query...>" tail of REQ and
-/// STREAM lines. `req.db` is left unresolved (kInvalidDbId): front ends
-/// own the name -> DbId namespace (global for the stdin driver,
-/// per-connection for the TCP server) and resolve `db_name` themselves.
+/// STREAM lines. `req.db` is left unresolved (kInvalidDbId): the name ->
+/// DbId namespace belongs to a net::Session (net/session.h), whose
+/// Resolve fills it in.
 struct ParsedRequest {
   std::string db_name;
   std::string query_text;

@@ -472,6 +472,7 @@ TEST(AdpEngineTest, IdenticalConcurrentRequestsShareOneSolve) {
     const AdpResponse resp = fut.get();
     ASSERT_TRUE(resp.ok()) << resp.status.ToString();
     EXPECT_EQ(resp.solution.cost, 1);
+    EXPECT_NE(resp.plan, nullptr);  // deduped copies carry the leader's plan
     if (resp.deduped) ++deduped;
   }
   EXPECT_EQ(deduped, kIdentical - 1);
@@ -1630,6 +1631,107 @@ TEST(AdpEngineTest, BindRejectsInstancesPastTupleIdCapacity) {
   EXPECT_TRUE(prepared->Bind(db).ok());
 }
 
+// An atom wider or narrower than its relation's columns would index past
+// them (or silently drop some): every bind path rejects it as
+// kInvalidArgument naming the relation and both arities, while an instance
+// with no rows binds to any atom.
+TEST(AdpEngineTest, BindRejectsAtomArityMismatch) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  NamedDatabase named;
+  named.relation_names = {"R1", "R2", "E"};
+  named.db = Database(3);
+  named.db.rel(0).Add({1, 2});
+  named.db.rel(0).Add({3, 4});
+  named.db.rel(1).Add({2});
+  const DbId db = engine.RegisterDatabase(std::move(named));
+
+  const auto expect_mismatch = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("R1"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("arity 2"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("arity 3"), std::string::npos)
+        << status.message();
+  };
+
+  // Named path. A correct-arity solve first caches a binding for the same
+  // relation names, so the mismatched query must not ride that cache hit.
+  AdpRequest req;
+  req.query_text = "Q(A,B) :- R1(A,B), R2(B)";
+  req.db = db;
+  req.k = 1;
+  ASSERT_TRUE(engine.Execute(req).ok());
+  req.query_text = "Q(A,B,C) :- R1(A,B,C), R2(C)";
+  expect_mismatch(engine.Execute(req).status);
+  req.query_text = "Q(A) :- R1(A), R2(A)";  // narrower is rejected too
+  EXPECT_EQ(engine.Execute(req).status.code(), StatusCode::kInvalidArgument);
+
+  // PreparedQuery::Bind.
+  StatusOr<PreparedQuery> prepared =
+      engine.Prepare("Q(A,B,C) :- R1(A,B,C), R2(C)");
+  ASSERT_TRUE(prepared.ok());
+  expect_mismatch(prepared->Bind(db));
+
+  // Positional path.
+  Database positional(2);
+  positional.rel(0).Add({1, 2});
+  positional.rel(1).Add({2});
+  req.query_text = "Q(A,B,C) :- R1(A,B,C), R2(C)";
+  req.db = engine.RegisterDatabase(std::move(positional));
+  expect_mismatch(engine.Execute(req).status);
+
+  // An empty instance binds to an atom of any arity.
+  req.query_text = "Q(A,B) :- R1(A,B), E(A,B,C,D)";
+  req.db = db;
+  const AdpResponse empty_ok = engine.Execute(req);
+  EXPECT_TRUE(empty_ok.ok()) << empty_ok.status.ToString();
+  EXPECT_EQ(empty_ok.solution.output_count, 0);
+}
+
+// Every response names the plan it was solved with, so front ends render
+// relation names without a second plan-cache lookup.
+TEST(AdpEngineTest, ResponseCarriesItsPlan) {
+  AdpEngine engine(
+      EngineConfig{.num_workers = 1, .coalesce_window_ms = 60'000});
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  const AdpResponse first = engine.Execute(req);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  ASSERT_NE(first.plan, nullptr);
+  EXPECT_EQ(first.plan->query.relation(2).name, "R3");
+  EXPECT_EQ(first.plan->fingerprint, first.fingerprint);
+  const EngineCounters c = engine.counters();
+  EXPECT_EQ(c.plan_misses, 1u);
+  EXPECT_EQ(c.plan_hits, 0u);
+
+  const AdpResponse coalesced = engine.Execute(req);
+  ASSERT_TRUE(coalesced.coalesced);
+  EXPECT_EQ(coalesced.plan, first.plan);
+
+  StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
+  ASSERT_TRUE(prepared.ok());
+  AdpRequest exec;
+  exec.prepared = *prepared;
+  exec.db = db;
+  exec.k = 3;
+  const AdpResponse executed = engine.Execute(exec);
+  ASSERT_TRUE(executed.ok()) << executed.status.ToString();
+  EXPECT_EQ(executed.plan, prepared->plan());
+
+  // A request that fails before planning carries no plan.
+  req.query_text = "Q(A :- R1(A)";
+  req.k = 1;
+  const AdpResponse bad = engine.Execute(req);
+  EXPECT_EQ(bad.status.code(), StatusCode::kParseError);
+  EXPECT_EQ(bad.plan, nullptr);
+}
+
 // --- Shutdown ----------------------------------------------------------------
 
 TEST(AdpEngineTest, ShutdownRejectsNewWorkTyped) {
@@ -1722,7 +1824,7 @@ TEST(AdpEngineTest, SyncExecuteIsNeverShed) {
   plug.Install(engine, db);
 
   AdpRequest filler;
-  filler.query_text = "Q(A,B) :- R1(A,B), R2(B)";
+  filler.query_text = "Q(A,B) :- R1(A,B), R2(B,C)";
   filler.db = db;
   filler.k = 1;
   std::future<AdpResponse> filler_fut = engine.Submit(filler);
@@ -1748,7 +1850,7 @@ TEST(AdpEngineTest, StreamAdpShedsWithTerminalOverloaded) {
   plug.Install(engine, db);
 
   AdpRequest filler;
-  filler.query_text = "Q(A,B) :- R1(A,B), R2(B)";
+  filler.query_text = "Q(A,B) :- R1(A,B), R2(B,C)";
   filler.db = db;
   filler.k = 1;
   std::future<AdpResponse> filler_fut = engine.Submit(filler);
@@ -1777,7 +1879,7 @@ TEST(AdpEngineTest, RequestPriorityOrdersSaturatedQueue) {
   plug.Install(engine, db);
 
   const char* texts[] = {
-      "Q(A,B) :- R1(A,B), R2(B)",
+      "Q(A,B) :- R1(A,B), R2(B,C)",
       "Q(B,C) :- R2(B,C), R3(C,E)",
       "Q(A) :- R1(A,B), R2(B,C)",
   };

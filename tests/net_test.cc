@@ -2,9 +2,8 @@
 // identical to direct AdpEngine calls, multi-client concurrency with
 // interleaved pushed frames, malformed/truncated frame survival, mid-stream
 // disconnect releasing the worker, priority/EDF ordering and load-shed
-// rejection over the socket, and the PREPARE/EXEC/CANCEL/STATS/METRICS
-// verbs. Runs against both poll backends (force_poll exercises the
-// portable one).
+// rejection over the socket, the PREPARE/EXEC/CANCEL/STATS/METRICS
+// verbs, and the net::Session both front ends resolve names through.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +24,7 @@
 #include "engine/engine.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/session.h"
 #include "net/textproto.h"
 #include "net/wire.h"
 
@@ -170,6 +170,18 @@ TEST(NetTest, VersionMismatchIsRejectedAndClosed) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, FrameType::kError);
   EXPECT_NE(frames[0].payload.find("version"), std::string::npos)
+      << frames[0].payload;
+}
+
+TEST(NetTest, HelloVersionsParseStrictly) {
+  // "1x" is not version 1: a HELLO with trailing junk is malformed.
+  NetFixture fx;
+  RawConn raw(fx.server.port());
+  raw.SendFrame(FrameType::kHello, "1x 1");
+  const std::vector<Frame> frames = raw.DrainToEof();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_NE(frames[0].payload.find("malformed HELLO"), std::string::npos)
       << frames[0].payload;
 }
 
@@ -689,6 +701,16 @@ TEST(NetTest, PrepareExecHotPathMatchesDirect) {
   reply = client.Call(FrameType::kExec, "EXEC 99 d1 2", &body);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, FrameType::kError);
+
+  // Integers parse strictly: "1x" is no handle, "3x" no cancel target.
+  reply = client.Call(FrameType::kExec, "EXEC 1x d1 2", &body);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_NE(body.find("bad handle: 1x"), std::string::npos) << body;
+  reply = client.Call(FrameType::kCancel, "CANCEL 3x", &body);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_NE(body.find("bad target id: 3x"), std::string::npos) << body;
 }
 
 TEST(NetTest, StatsAndMetricsVerbs) {
@@ -726,18 +748,125 @@ TEST(NetTest, ByeFlushesAndCloses) {
   EXPECT_FALSE(client.ReadFrame().has_value());  // server closed
 }
 
-TEST(NetTest, PollBackendServesRequests) {
-  // force_poll exercises the portable poll() backend on every platform.
-  NetFixture fx(EngineConfig{.num_workers = 2},
-                NetServerConfig{.force_poll = true});
+TEST(NetTest, ArityMismatchFailsOneRequestNotTheServer) {
+  // An atom wider than its relation used to index past the columns and
+  // take the whole process down; now that one request fails, typed, under
+  // its own correlation id, and the connection keeps serving.
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  std::string body;
+  ASSERT_TRUE(
+      client.Call(FrameType::kDb, "DB d R1=1,2/3,4 R2=2", &body).has_value());
+  const std::int64_t id = client.NextId();
+  ASSERT_TRUE(client.Send(FrameType::kReq, id,
+                          "REQ d 1 Q(A,B,C) :- R1(A,B,C), R2(C)"));
+  std::optional<Frame> reply = client.WaitReply(id);
+  ASSERT_TRUE(reply.has_value()) << client.error();
+  EXPECT_EQ(reply->type, FrameType::kResult);
+  EXPECT_NE(reply->payload.find("\"status\":\"INVALID_ARGUMENT\""),
+            std::string::npos)
+      << reply->payload;
+  EXPECT_NE(reply->payload.find("R1"), std::string::npos) << reply->payload;
+
+  reply = client.Call(FrameType::kReq, "REQ d 1 Q(A,B) :- R1(A,B), R2(B)",
+                      &body);
+  ASSERT_TRUE(reply.has_value()) << client.error();
+  EXPECT_EQ(reply->type, FrameType::kResult);
+  EXPECT_NE(body.find("\"status\":\"OK\""), std::string::npos) << body;
+}
+
+TEST(NetTest, TextRequestIsOnePlanLookup) {
+  // The result names its relations from the plan it was solved with, so a
+  // text REQ costs exactly one plan-cache probe: a miss, no follow-up hit.
+  NetFixture fx;
   AdpNetClient client = fx.Client();
   std::string body;
   ASSERT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
   std::optional<Frame> reply = client.Call(
       FrameType::kReq, "REQ d1 2 " + std::string(kChainText), &body);
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, FrameType::kResult);
-  EXPECT_EQ(ExtractAnswer(body), DirectAnswer(fx.engine, kChainText, 2));
+  EXPECT_NE(body.find("[\"R1\","), std::string::npos) << body;
+  ASSERT_TRUE(client.Call(FrameType::kStats, "STATS", &body).has_value());
+  EXPECT_NE(body.find("\"plan_hits\":0,\"plan_misses\":1"), std::string::npos)
+      << body;
+}
+
+// ---- Session: the per-session state both front ends share -----------------
+
+TEST(SessionTest, ReRegisteringANameReleasesTheDisplacedDb) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  Session session(engine);
+  const std::string req_line = "REQ d1 2 " + std::string(kChainText);
+  EXPECT_EQ(session.RegisterDb(SplitWs(kDbLine)), "d1");
+  const DbId old_db = session.Resolve(SplitWs(req_line)).req.db;
+  ASSERT_NE(engine.database(old_db), nullptr);
+
+  session.RegisterDb(SplitWs(kDbLine));
+  const DbId new_db = session.Resolve(SplitWs(req_line)).req.db;
+  EXPECT_NE(new_db, old_db);
+  EXPECT_EQ(engine.database(old_db), nullptr);
+  EXPECT_NE(engine.database(new_db), nullptr);
+  EXPECT_EQ(engine.counters().databases, 1u);
+}
+
+TEST(SessionTest, DestructionReleasesEveryDb) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  {
+    Session session(engine);
+    session.RegisterDb(SplitWs(kDbLine));
+    session.RegisterDb(SplitWs("DB d2 R1=1,2"));
+    EXPECT_EQ(engine.counters().databases, 2u);
+  }
+  EXPECT_EQ(engine.counters().databases, 0u);
+}
+
+TEST(SessionTest, ResolvesRequestsAndRejectsUnknownNames) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  Session session(engine, /*default_timeout_ms=*/5000);
+  session.RegisterDb(SplitWs(kDbLine));
+
+  const ParsedRequest req =
+      session.Resolve(SplitWs("REQ d1 2 +p3 " + std::string(kChainText)));
+  EXPECT_EQ(req.db_name, "d1");
+  EXPECT_NE(req.req.db, kInvalidDbId);
+  EXPECT_EQ(req.req.k, 2);
+  EXPECT_EQ(req.req.priority, 3);
+  EXPECT_TRUE(req.req.deadline.has_value());  // the session default
+  EXPECT_EQ(req.req.query_text, kChainText);
+
+  const auto message = [&session](const std::string& line) -> std::string {
+    try {
+      session.Resolve(SplitWs(line));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  EXPECT_EQ(message("REQ nodb 2 " + std::string(kChainText)),
+            "unknown database nodb");
+  EXPECT_EQ(message("STREAM nodb 2 " + std::string(kChainText)),
+            "unknown database nodb");
+  EXPECT_EQ(message("EXEC 7 d1 2"), "unknown prepared handle 7");
+  EXPECT_EQ(message("EXEC 1x d1 2"), "bad handle: 1x");
+  EXPECT_EQ(message("STREAM d1"), "STREAM <db> <k> [+opt ...] <query>");
+  EXPECT_EQ(message("REQ d1"), "REQ <db> <k> [+opt ...] <query>");
+  EXPECT_EQ(message("EXEC 1 d1"), "EXEC <handle> <db> <k> [+opt ...]");
+
+  // PREPARE keeps the engine's status code; EXEC resolves the handle.
+  StatusOr<std::int64_t> bad = session.Prepare(SplitWs("PREPARE Q(A :- R1(A)"));
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+  StatusOr<std::int64_t> handle =
+      session.Prepare(SplitWs("PREPARE " + std::string(kChainText)));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_EQ(*handle, 1);
+  EXPECT_THROW(session.Prepare(SplitWs("PREPARE")), std::runtime_error);
+  const ParsedRequest exec = session.Resolve(SplitWs("EXEC 1 d1 3 +p-1"));
+  EXPECT_TRUE(exec.req.prepared.valid());
+  EXPECT_TRUE(exec.req.query_text.empty());
+  EXPECT_EQ(exec.req.db, req.req.db);
+  EXPECT_EQ(exec.req.k, 3);
+  EXPECT_EQ(exec.req.priority, -1);
+  EXPECT_EQ(message("EXEC 1 nodb 3"), "unknown database nodb");
 }
 
 // ---- Hostile client mix: duplicate-query storm ----------------------------

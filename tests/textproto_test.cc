@@ -124,6 +124,47 @@ TEST(TextProtoTest, ParseRequestLineRejectsMalformedInput) {
                std::runtime_error);
 }
 
+TEST(TextProtoTest, IntegersAreStrict) {
+  // Every integer in a command line parses whole or not at all: trailing
+  // junk and out-of-range values are "bad <what>" errors, never a silently
+  // truncated number or a bare "stoll".
+  const auto message = [](auto&& parse) -> std::string {
+    try {
+      parse();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  EXPECT_EQ(ParseOptionInt("42", 0, "k"), 42);
+  EXPECT_EQ(ParseOptionInt("+p-3", 2), -3);
+  EXPECT_EQ(message([] { ParseOptionInt("", 0, "k"); }), "bad k: ");
+  EXPECT_EQ(message([] { ParseRelationSpec("R1=1x,2"); }), "bad value: 1x");
+  EXPECT_EQ(message([] { ParseDbLine(SplitWs("DB d R1=99999999999999999999")); }),
+            "bad value: 99999999999999999999");
+  EXPECT_EQ(message([] {
+              ParseRequestLine(SplitWs("REQ d1 2x Q(A) :- R1(A,B)"), "usage", 0);
+            }),
+            "bad k: 2x");
+  EXPECT_EQ(message([] {
+              ParseRequestLine(
+                  SplitWs("REQ d1 99999999999999999999 Q(A) :- R1(A,B)"),
+                  "usage", 0);
+            }),
+            "bad k: 99999999999999999999");
+  EXPECT_EQ(message([] {
+              ParseRequestLine(SplitWs("REQ d1 1 +p1x Q(A) :- R1(A,B)"),
+                               "usage", 0);
+            }),
+            "bad option value: +p1x");
+  // A priority past int's range is rejected, not wrapped.
+  EXPECT_EQ(message([] {
+              ParseRequestLine(SplitWs("REQ d1 1 +p4294967297 Q(A) :- R1(A,B)"),
+                               "usage", 0);
+            }),
+            "bad option value: +p4294967297");
+}
+
 // --- Rendering ---------------------------------------------------------------
 
 TEST(TextProtoTest, FormatResponseLineErrorAndSuccess) {

@@ -2,15 +2,20 @@
 # Loopback smoke test for the network front door: starts adp_netserver on
 # an ephemeral port, drives one scripted adp_netclient session covering
 # DB registration, pipelined REQ, server-push STREAM, CANCEL, and
-# METRICS, and fails on any non-zero exit. Run from a build directory
-# containing the two binaries (or pass it as $1).
+# METRICS, and fails on any non-zero exit. Then runs the same script
+# through the stdin front end (adp_server) and fails unless every REQ
+# answer (status, feasible, exact, cost, output_count, tuples) equals the
+# TCP client's. Run from a build directory containing the three binaries
+# (or pass it as $1).
 set -euo pipefail
 
 build_dir="${1:-.}"
 server="$build_dir/adp_netserver"
 client="$build_dir/adp_netclient"
-[ -x "$server" ] || { echo "missing $server" >&2; exit 1; }
-[ -x "$client" ] || { echo "missing $client" >&2; exit 1; }
+batch="$build_dir/adp_server"
+for bin in "$server" "$client" "$batch"; do
+  [ -x "$bin" ] || { echo "missing $bin" >&2; exit 1; }
+done
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"; [ -n "${server_pid:-}" ] && kill "$server_pid" 2>/dev/null || true' EXIT
@@ -37,8 +42,8 @@ DB d1 R1=11,21/12,22/13,23 R2=21,31/22,32/22,33/23,33 R3=31,41/32,43/33,43
 REQ d1 2 Q(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)
 REQ d1 3 Q(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)
 STREAM d1 3 Q(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)
-CANCEL
 STATS
+CANCEL
 METRICS
 EOF
 
@@ -54,4 +59,31 @@ grep -q 'adp_net_connections_total' "$workdir/client_out"
 # Clean shutdown: close the server's stdin and wait for exit 0.
 exec 9>&-
 wait "$server_pid"
+
+# Front-end equivalence: both front ends resolve the script through the same
+# session and formatters, so their REQ answers must match field for field.
+# (STATS drains every REQ before CANCEL in both, so nothing is cancelled.)
+"$batch" --workers=2 "$workdir/requests.txt" >"$workdir/batch_out"
+python3 - "$workdir/batch_out" "$workdir/client_out" <<'PY'
+import json
+import sys
+
+FIELDS = ("status", "feasible", "exact", "cost", "output_count", "tuples")
+
+
+def answers(path):
+    out = []
+    for line in open(path):
+        if line.startswith("{"):
+            obj = json.loads(line)
+            if obj.get("req") is not None:
+                out.append([obj.get(f) for f in FIELDS])
+    return out
+
+
+batch, net = answers(sys.argv[1]), answers(sys.argv[2])
+if not batch or batch != net:
+    sys.exit("front ends disagree:\n adp_server: %s\n adp_netclient: %s"
+             % (batch, net))
+PY
 echo "net smoke OK (port $port)"
