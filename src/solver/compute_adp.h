@@ -82,11 +82,12 @@ bool StatsAgreeModuloSharding(const AdpStats& a, const AdpStats& b);
 /// recursion nodes whose subproblems are independent — the Universe case's
 /// partition groups (Algorithm 4) and the Decompose case's connected
 /// components (Algorithm 5) — dispatch them through `run_all`, typically
-/// backed by a worker pool, instead of solving sequentially. Results are
-/// bitwise-identical to the sequential path: shard outputs land at fixed
-/// indices, are combined in the same order the sequential fold would use
-/// (partition order / ascending-|Q_i(D)| fold order), and each shard gets a
-/// private AdpStats that is merged afterwards.
+/// backed by a worker pool, instead of solving sequentially; both cases
+/// share one fan-out (solver/children.h). Results are bitwise-identical to
+/// the sequential path: shard outputs land at fixed indices, are combined
+/// in the same order the sequential fold would use (partition order /
+/// ascending-|Q_i(D)| fold order), and each shard gets a private AdpStats
+/// that is merged afterwards.
 struct Parallelism {
   /// Executes every task exactly once and returns when all have finished.
   /// Must be safe to invoke from inside one of its own tasks (nested
@@ -160,10 +161,10 @@ struct AdpOptions {
   const Parallelism* parallelism = nullptr;
 
   /// Cooperative cancellation/deadline token, polled at recursion node
-  /// boundaries — including sharded sub-solves and the long inner loops of
-  /// the Decompose case. A fired token aborts the solve by throwing
-  /// CancelledError (util/cancel.h). Not owned; must outlive the solve.
-  /// Engine-managed on requests that go through AdpEngine.
+  /// boundaries — including sharded sub-solves and every fold level of the
+  /// Universe and Decompose combines. A fired token aborts the solve by
+  /// throwing CancelledError (util/cancel.h). Not owned; must outlive the
+  /// solve. Engine-managed on requests that go through AdpEngine.
   const CancelToken* cancel = nullptr;
 
   /// Span sink for per-node tracing (obs/trace.h). Null — the default —

@@ -7,8 +7,9 @@
 //   * kPairwiseNaive    — Algorithm 5 as printed, enumerating (k1, k2);
 //   * kFullEnumeration  — Eq. 2 of Lemma 3: enumerate all (k1..ks) vectors.
 //
-// Witness splits are not tabulated: a reporter re-derives the (k1, k2)
-// split of the one target it serves with ProductSplit, level by level.
+// Witness splits are not tabulated: the fold shared with Universe
+// (solver/children.h) re-derives the (k1, k2) split of the one target a
+// reporter serves with ProductSplit, level by level.
 //
 // The root of a ComputeADP call additionally uses a single-target split
 // (SolveDecomposeSingleK) that avoids materializing a profile of length k —
@@ -16,9 +17,9 @@
 //
 // When AdpOptions::parallelism is set (Parallelism::min_components > 0),
 // the per-component sub-solves of a node with enough components fan out
-// across the executor; the cross-product DP that combines their profiles
-// stays on the calling thread, so results are bitwise-identical to the
-// sequential path (AdpStats::sharded_decompose_nodes reports engagement).
+// through the fan-out shared with Universe; the cross-product DP that
+// combines their profiles stays on the calling thread, so results are
+// bitwise-identical (AdpStats::sharded_decompose_nodes reports engagement).
 
 #ifndef ADP_SOLVER_DECOMPOSE_H_
 #define ADP_SOLVER_DECOMPOSE_H_

@@ -53,24 +53,25 @@ void CostProfile::TruncateTo(std::int64_t cap) {
 }
 
 CostProfile CombineDisjoint(const CostProfile& a, const CostProfile& b,
-                            std::int64_t cap,
-                            std::vector<std::int64_t>* choice_b) {
+                            std::int64_t cap) {
   const std::int64_t out_kmax = std::min(cap, SatAdd(a.kmax(), b.kmax()));
-  std::vector<std::int64_t> out(static_cast<std::size_t>(out_kmax) + 1,
-                                kInfCost);
-  if (choice_b) choice_b->assign(out.size(), 0);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(out_kmax) + 1);
   for (std::int64_t j = 0; j <= out_kmax; ++j) {
-    const std::int64_t mmax = std::min(j, b.kmax());
-    const std::int64_t mmin = std::max<std::int64_t>(0, j - a.kmax());
-    for (std::int64_t m = mmin; m <= mmax; ++m) {
-      const std::int64_t c = a.At(j - m) + b.At(m);
-      if (c < out[j]) {
-        out[j] = c;
-        if (choice_b) (*choice_b)[j] = m;
-      }
-    }
+    out[j] = DisjointSplit(a, b, j).cost;
   }
   return CostProfile(std::move(out));
+}
+
+SplitChoice DisjointSplit(const CostProfile& a, const CostProfile& b,
+                          std::int64_t j) {
+  SplitChoice best{kInfCost, j, 0};
+  const std::int64_t mmax = std::min(j, b.kmax());
+  const std::int64_t mmin = std::max<std::int64_t>(0, j - a.kmax());
+  for (std::int64_t m = mmin; m <= mmax; ++m) {
+    const std::int64_t c = a.At(j - m) + b.At(m);
+    if (c < best.cost) best = {c, j - m, m};
+  }
+  return best;
 }
 
 namespace {
@@ -137,10 +138,10 @@ CostProfile CombineProduct(const CostProfile& a, std::int64_t ma,
   return CostProfile(std::move(out));
 }
 
-ProductChoice ProductSplit(const CostProfile& a, std::int64_t ma,
-                           const CostProfile& b, std::int64_t mb,
-                           std::int64_t j) {
-  ProductChoice best;
+SplitChoice ProductSplit(const CostProfile& a, std::int64_t ma,
+                         const CostProfile& b, std::int64_t mb,
+                         std::int64_t j) {
+  SplitChoice best;
   const std::int64_t k2_hi = std::min(b.kmax(), std::min(mb, j));
   for (std::int64_t k2 = 0; k2 <= k2_hi; ++k2) {
     const std::int64_t cb = b.At(k2);

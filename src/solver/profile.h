@@ -16,8 +16,8 @@
 // in the bucket r = min(removed, K), and one suffix-min pass turns the
 // buckets into the profile. The k1 loop stops once r reaches K (removed is
 // nondecreasing in k1), so the work is O(min(ka, K+1)*kb + K) rather than
-// one kb-long scan per target. No split table is kept: ProductSplit
-// recovers the (k1, k2) split of the one target a reporter asks for.
+// one kb-long scan per target. No split table is kept: DisjointSplit and
+// ProductSplit recover the split of the one target a reporter asks for.
 
 #ifndef ADP_SOLVER_PROFILE_H_
 #define ADP_SOLVER_PROFILE_H_
@@ -77,12 +77,24 @@ class CostProfile {
   std::vector<std::int64_t> cost_;
 };
 
+/// The cheapest split of one combined target j: k1 from the `a` operand,
+/// k2 from the `b` operand.
+struct SplitChoice {
+  std::int64_t cost = kInfCost;  // a[k1] + b[k2]; kInfCost if unreachable
+  std::int64_t k1 = 0;
+  std::int64_t k2 = 0;
+};
+
 /// Disjoint-union combination up to `cap`:
 ///   out[j] = min over m of a[j-m] + b[m].
-/// If `choice_b` is non-null it receives, per j, the minimizing m.
 CostProfile CombineDisjoint(const CostProfile& a, const CostProfile& b,
-                            std::int64_t cap,
-                            std::vector<std::int64_t>* choice_b);
+                            std::int64_t cap);
+
+/// The split behind CombineDisjoint(a, b, ...)[j], k2 = m from `b`: the
+/// first strict minimum of CombineDisjoint's ascending scan over m, so
+/// witnesses are deterministic. Unreachable j gives {kInfCost, j, 0}.
+SplitChoice DisjointSplit(const CostProfile& a, const CostProfile& b,
+                          std::int64_t j);
 
 /// Cross-product combination up to `cap`, where `a` governs a factor with
 /// `ma` outputs and `b` a factor with `mb` outputs:
@@ -94,19 +106,12 @@ CostProfile CombineProduct(const CostProfile& a, std::int64_t ma,
                            const CostProfile& b, std::int64_t mb,
                            std::int64_t cap, bool naive_inner);
 
-/// The cheapest split of one cross-product target j.
-struct ProductChoice {
-  std::int64_t cost = kInfCost;  // a[k1] + b[k2]; kInfCost if unreachable
-  std::int64_t k1 = 0;
-  std::int64_t k2 = 0;
-};
-
 /// Recovers the split behind CombineProduct(a, ma, b, mb, ...)[j]: for each
 /// k2 ascending, the minimal feasible k1 in closed form; the first strict
 /// minimum wins, which keeps witnesses deterministic. O(min(kb, j)).
-ProductChoice ProductSplit(const CostProfile& a, std::int64_t ma,
-                           const CostProfile& b, std::int64_t mb,
-                           std::int64_t j);
+SplitChoice ProductSplit(const CostProfile& a, std::int64_t ma,
+                         const CostProfile& b, std::int64_t mb,
+                         std::int64_t j);
 
 }  // namespace adp
 

@@ -1,134 +1,88 @@
 #include "solver/universe.h"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <utility>
 
-#include "obs/names.h"
 #include "obs/trace.h"
 #include "query/transform.h"
+#include "solver/children.h"
 
 namespace adp {
 namespace {
 
-// Children plus everything the reporter needs.
-struct UniverseState {
+// Convex path: the children plus all marginal steps, by gain descending.
+struct ConvexMerge {
   std::vector<AdpNode> children;
-  // Generic DP path: per fold level i >= 1, choice[i][j] = outputs taken
-  // from child i when the combined target is j.
-  std::vector<std::vector<std::int64_t>> choices;
-  // Convex path: all marginal steps sorted by gain descending.
   struct Step {
     std::int64_t gain;
     int child;
   };
   std::vector<Step> steps;
-  bool convex = false;
 };
 
-AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
-                        const AdpOptions& options) {
+// Global greedy over marginal gains: the c-th unit of budget spent on a
+// child buys MaxRemovedWithin(c) - MaxRemovedWithin(c-1) outputs; for
+// convex profiles these gains are nonincreasing per child, so merging all
+// steps by gain is optimal for the disjoint union.
+AdpNode MergeConvex(std::vector<AdpNode> children, std::int64_t cap,
+                    const AdpOptions& options) {
+  auto state = std::make_shared<ConvexMerge>();
+  state->children = std::move(children);
   AdpNode node;
   for (const AdpNode& c : state->children) node.exact &= c.exact;
-
-  bool all_convex = options.universe_convex_merge;
-  for (const AdpNode& c : state->children) {
-    all_convex = all_convex && c.profile.HasConcaveGains();
-  }
-  state->convex = all_convex;
-
-  if (all_convex) {
-    // Global greedy over marginal gains: the c-th unit of budget spent on a
-    // child buys MaxRemovedWithin(c) - MaxRemovedWithin(c-1) outputs; for
-    // convex profiles these gains are nonincreasing per child, so merging
-    // all steps by gain is optimal for the disjoint union.
-    for (std::size_t i = 0; i < state->children.size(); ++i) {
-      const CostProfile& prof = state->children[i].profile;
-      const std::int64_t budget_max = prof.At(prof.kmax());
-      std::int64_t prev = 0;
-      for (std::int64_t c = 1; c <= budget_max; ++c) {
-        const std::int64_t now = prof.MaxRemovedWithin(c);
-        if (now > prev) {
-          state->steps.push_back(
-              UniverseState::Step{now - prev, static_cast<int>(i)});
-        }
-        prev = now;
+  for (std::size_t i = 0; i < state->children.size(); ++i) {
+    const CostProfile& prof = state->children[i].profile;
+    const std::int64_t budget_max = prof.At(prof.kmax());
+    std::int64_t prev = 0;
+    for (std::int64_t c = 1; c <= budget_max; ++c) {
+      const std::int64_t now = prof.MaxRemovedWithin(c);
+      if (now > prev) {
+        state->steps.push_back(
+            ConvexMerge::Step{now - prev, static_cast<int>(i)});
       }
+      prev = now;
     }
-    std::sort(state->steps.begin(), state->steps.end(),
-              [](const auto& a, const auto& b) { return a.gain > b.gain; });
-    std::vector<std::int64_t> cost;
-    cost.push_back(0);
-    std::int64_t removed = 0;
-    for (std::size_t s = 0;
-         s < state->steps.size() &&
-         static_cast<std::int64_t>(cost.size()) <= cap;
-         ++s) {
-      const std::int64_t next = removed + state->steps[s].gain;
-      for (std::int64_t j = removed + 1;
-           j <= next && static_cast<std::int64_t>(cost.size()) <= cap; ++j) {
-        cost.push_back(static_cast<std::int64_t>(s) + 1);
-      }
-      removed = next;
-    }
-    node.profile = CostProfile(std::move(cost));
-  } else {
-    // Sequential fold with the plain min-plus DP (Eq. 1), recording split
-    // choices for reporting.
-    CostProfile acc = state->children[0].profile;
-    acc.TruncateTo(cap);
-    state->choices.resize(state->children.size());
-    for (std::size_t i = 1; i < state->children.size(); ++i) {
-      acc = CombineDisjoint(acc, state->children[i].profile, cap,
-                            options.counting_only ? nullptr
-                                                  : &state->choices[i]);
-    }
-    node.profile = std::move(acc);
   }
+  std::sort(state->steps.begin(), state->steps.end(),
+            [](const auto& a, const auto& b) { return a.gain > b.gain; });
+  std::vector<std::int64_t> cost;
+  cost.push_back(0);
+  std::int64_t removed = 0;
+  for (std::size_t s = 0;
+       s < state->steps.size() &&
+       static_cast<std::int64_t>(cost.size()) <= cap;
+       ++s) {
+    const std::int64_t next = removed + state->steps[s].gain;
+    for (std::int64_t j = removed + 1;
+         j <= next && static_cast<std::int64_t>(cost.size()) <= cap; ++j) {
+      cost.push_back(static_cast<std::int64_t>(s) + 1);
+    }
+    removed = next;
+  }
+  node.profile = CostProfile(std::move(cost));
 
   if (!options.counting_only) {
-    const std::shared_ptr<UniverseState> s = state;
     // Polled per child report so a cancelled stream stops mid-enumeration
     // instead of finishing the whole witness walk (see ReporterToken).
-    const CancelToken cancel = ReporterToken(options);
-    node.report = [s, cancel](std::int64_t j) {
+    node.report = [s = std::shared_ptr<const ConvexMerge>(state),
+                   cancel = ReporterToken(options)](std::int64_t j) {
+      // Budget per child from the sorted step prefix covering j.
+      std::vector<std::int64_t> budget(s->children.size(), 0);
+      std::int64_t removed = 0;
+      for (const auto& step : s->steps) {
+        if (removed >= j) break;
+        ++budget[step.child];
+        removed += step.gain;
+      }
       std::vector<TupleRef> out;
-      if (s->convex) {
-        // Budget per child from the sorted step prefix covering j.
-        std::vector<std::int64_t> budget(s->children.size(), 0);
-        std::int64_t removed = 0;
-        for (const auto& step : s->steps) {
-          if (removed >= j) break;
-          ++budget[step.child];
-          removed += step.gain;
-        }
-        for (std::size_t i = 0; i < s->children.size(); ++i) {
-          if (budget[i] == 0) continue;
-          cancel.ThrowIfCancelled();
-          const std::int64_t ji =
-              s->children[i].profile.MaxRemovedWithin(budget[i]);
-          std::vector<TupleRef> part = s->children[i].report(ji);
-          out.insert(out.end(), part.begin(), part.end());
-        }
-      } else {
-        std::int64_t target = j;
-        for (std::size_t i = s->children.size(); i-- > 1;) {
-          const std::int64_t m = s->choices[i].empty()
-                                     ? 0
-                                     : s->choices[i][target];
-          if (m > 0) {
-            cancel.ThrowIfCancelled();
-            std::vector<TupleRef> part = s->children[i].report(m);
-            out.insert(out.end(), part.begin(), part.end());
-          }
-          target -= m;
-        }
-        if (target > 0) {
-          cancel.ThrowIfCancelled();
-          std::vector<TupleRef> part = s->children[0].report(target);
-          out.insert(out.end(), part.begin(), part.end());
-        }
+      for (std::size_t i = 0; i < s->children.size(); ++i) {
+        if (budget[i] == 0) continue;
+        cancel.ThrowIfCancelled();
+        const std::int64_t ji =
+            s->children[i].profile.MaxRemovedWithin(budget[i]);
+        std::vector<TupleRef> part = s->children[i].report(ji);
+        out.insert(out.end(), part.begin(), part.end());
       }
       return out;
     };
@@ -161,68 +115,44 @@ AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
                             std::to_string(groups.size()));
   }
 
-  auto state = std::make_shared<UniverseState>();
-  const Parallelism* par = options.parallelism;
-  if (par != nullptr && par->run_all != nullptr && par->min_groups > 0 &&
-      groups.size() >= std::max<std::size_t>(par->min_groups, 2)) {
-    // Sharded path: the groups are disjoint sub-instances of independent
-    // subproblems, so their solves can run concurrently. Children land at
-    // fixed indices and are combined in partition order below, keeping the
-    // result bitwise-identical to the sequential fold. Each shard writes a
-    // private AdpStats (the shared pointer would race) merged afterwards —
-    // a commutative fold, so the index-order merge below equals whatever
-    // completion order the pool produced.
-    if (options.stats) ++options.stats->sharded_universe_nodes;
-    state->children.resize(groups.size());
-    std::vector<AdpStats> shard_stats(options.stats ? groups.size() : 0);
-    std::vector<std::exception_ptr> errors(groups.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      tasks.push_back([&, i] {
-        try {
-          AdpOptions shard = options;
-          if (options.stats) shard.stats = &shard_stats[i];
-          // One span per shard, parented under this Universe node's span;
-          // shards run on arbitrary pool threads, so the explicit parent
-          // link (not any thread-local ambient span) is what keeps the
-          // trace a tree.
-          obs::Span span(options.trace, obs::kSpanShardUniverse,
-                         options.trace_parent);
-          span.Tag("shard", static_cast<std::int64_t>(i));
-          shard.trace_parent = span.id();
-          // Sharded sub-solves poll the token too: a cancel that lands
-          // mid-fan-out stops the remaining shards at their boundary.
-          ThrowIfCancelled(shard);
-          state->children[i] =
-              ComputeAdpNode(residual, groups[i].db, cap, shard);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
+  auto fold = std::make_shared<ChildFold>();
+  fold->children = SolveChildren(
+      ChildAxis::kUniverseGroups, groups.size(), options,
+      [&](std::size_t i, const AdpOptions& child_options) {
+        return ComputeAdpNode(residual, groups[i].db, cap, child_options);
       });
-    }
-    par->run_all(std::move(tasks));
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    if (options.stats) {
-      for (const AdpStats& s : shard_stats) MergeAdpStats(*options.stats, s);
-    }
-  } else {
-    state->children.reserve(groups.size());
-    for (UniverseGroup& g : groups) {
-      ThrowIfCancelled(options);
-      state->children.push_back(ComputeAdpNode(residual, g.db, cap, options));
-    }
-  }
-  if (state->children.empty()) {
+  if (fold->children.empty()) {
     // No complete class: Q(D) is empty.
     return AdpNode{CostProfile(), true,
                    options.counting_only
                        ? Reporter()
                        : [](std::int64_t) { return std::vector<TupleRef>(); }};
   }
-  return CombineChildren(state, cap, options);
+
+  bool all_convex = options.universe_convex_merge;
+  for (const AdpNode& c : fold->children) {
+    all_convex = all_convex && c.profile.HasConcaveGains();
+  }
+  if (all_convex) return MergeConvex(std::move(fold->children), cap, options);
+
+  AdpNode node;
+  for (const AdpNode& c : fold->children) node.exact &= c.exact;
+  // Eq. 1 as a fold; the disjoint union reads no output counts.
+  fold->m.assign(fold->children.size(), 0);
+  fold->combine = [](const Fold& a, const CostProfile& b, std::int64_t,
+                     std::int64_t cap) {
+    return Fold{CombineDisjoint(a.profile, b, cap)};
+  };
+  fold->split = [](const Fold& a, const CostProfile& b, std::int64_t,
+                   std::int64_t j) { return DisjointSplit(a.profile, b, j); };
+  node.profile =
+      FoldChildren(*fold, fold->children.size(), cap, options).profile;
+  if (!options.counting_only) {
+    node.report = [fold, cancel = ReporterToken(options)](std::int64_t j) {
+      return ReportFold(*fold, j, cancel);
+    };
+  }
+  return node;
 }
 
 }  // namespace adp

@@ -10,10 +10,10 @@
 //     the DP degenerates to a global merge of marginal gains, which is what
 //     makes the paper's "improved" strategy near-linear.
 //
-// The per-class sub-solves are independent (disjoint sub-instances); with
-// AdpOptions::parallelism set they are sharded across an executor and the
-// profiles combined in partition order, producing results identical to the
-// sequential fold.
+// The per-class sub-solves are independent (disjoint sub-instances). They
+// share Decompose's child template (solver/children.h): one fan-out, sharded
+// with AdpOptions::parallelism, and one fold whose reporters recover each
+// split at report time with DisjointSplit instead of a split table.
 
 #ifndef ADP_SOLVER_UNIVERSE_H_
 #define ADP_SOLVER_UNIVERSE_H_

@@ -1,7 +1,8 @@
 // Decompose solver tests (Algorithm 5): cross-product accounting, agreement
 // of the three strategies (Fig 29), the root single-k fast path, sharded
-// component sub-solves (serial/sharded equivalence + cancellation), an
-// oracle sweep, and a witness regression lock over catalog families.
+// component sub-solves (serial/sharded equivalence + cancellation, the
+// latter also on the Universe axis that shares the fan-out), an oracle
+// sweep, and a witness regression lock over catalog families.
 
 #include <gtest/gtest.h>
 
@@ -17,17 +18,20 @@
 #include "solver/decompose.h"
 #include "solver/plan.h"
 #include "solver/solution.h"
+#include "solver/universe.h"
 #include "test_util.h"
-#include "util/hash.h"
+#include "witness_lock.h"
 #include "workload/families.h"
 
 namespace adp {
 namespace {
 
+using testing::BindRoot;
 using testing::MakeDb;
 using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
+using testing::WitnessHash;
 
 ConjunctiveQuery TwoParts() {
   return ParseQuery("Q(A,B) :- R1(A), R2(B)");
@@ -198,10 +202,12 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
 }
 
 // Parallelism::min_components == 0 must disable the Decompose axis even
-// when an executor is wired up.
+// when an executor is wired up and the other axis is on; likewise
+// min_groups == 0 for the Universe axis, which shares the fan-out.
 TEST(DecomposeTest, ZeroMinComponentsDisablesSharding) {
   Parallelism par;
   par.min_components = 0;
+  par.min_groups = 2;
   std::atomic<int> fanouts{0};
   par.run_all = [&](std::vector<std::function<void()>> tasks) {
     ++fanouts;
@@ -217,45 +223,79 @@ TEST(DecomposeTest, ZeroMinComponentsDisablesSharding) {
   EXPECT_EQ(node.profile.At(2), 1);
   EXPECT_EQ(fanouts.load(), 0);
   EXPECT_EQ(stats.sharded_decompose_nodes, 0);
+
+  // Universe axis: two partition groups, each a Boolean residual.
+  par.min_components = 2;
+  par.min_groups = 0;
+  const ConjunctiveQuery uq = ParseQuery("Q(A) :- R1(A,B), R2(A,C)");
+  const Database udb = MakeDb(uq, {{"R1", {{1, 5}, {2, 5}}},
+                                   {"R2", {{1, 7}, {2, 7}, {2, 8}}}});
+  const AdpNode unode = UniverseNode(uq, udb, 2, options);
+  EXPECT_EQ(unode.profile.At(2), 2);
+  EXPECT_EQ(stats.universe_groups, 2);
+  EXPECT_EQ(fanouts.load(), 0);
+  EXPECT_EQ(stats.sharded_universe_nodes, 0);
 }
 
-// A cancel landing mid-fan-out stops the remaining component sub-solves at
-// their node boundary: deterministic run_all that cancels after the first
-// component; every later shard must abort before doing its work.
+// A cancel landing mid-fan-out stops the remaining sub-solves at their node
+// boundary: deterministic run_all that cancels after the first task; every
+// later shard must abort before doing its work. Checked on the Decompose
+// axis (four components) and the Universe axis (four partition groups),
+// which share one fan-out.
 TEST(DecomposeTest, CancelMidComponentStopsShardedSubSolves) {
-  const ConjunctiveQuery q =
+  const ConjunctiveQuery components =
       ParseQuery("Q(A,B,C,E) :- R1(A), R2(B), R3(C), R4(E)");
-  const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
-                                 {"R2", {{1}, {2}}},
-                                 {"R3", {{1}, {2}}},
-                                 {"R4", {{1}, {2}}}});
-
-  const CancelToken token = CancelToken::Make();
-  std::atomic<int> ran{0};
-  Parallelism par;
-  par.min_components = 2;
-  par.run_all = [&](std::vector<std::function<void()>> tasks) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      tasks[i]();
-      ++ran;
-      if (i == 0) token.Cancel();
-    }
+  const ConjunctiveQuery groups = ParseQuery("Q(A) :- R1(A,B), R2(A,C)");
+  struct Case {
+    ConjunctiveQuery q;
+    Database db;
+    std::int64_t k;
   };
+  const Case cases[] = {
+      {components,
+       MakeDb(components, {{"R1", {{1}, {2}}},
+                           {"R2", {{1}, {2}}},
+                           {"R3", {{1}, {2}}},
+                           {"R4", {{1}, {2}}}}),
+       6},
+      {groups,
+       MakeDb(groups, {{"R1", {{1, 5}, {2, 5}, {3, 5}, {4, 5}}},
+                       {"R2", {{1, 7}, {2, 7}, {3, 7}, {4, 7}}}}),
+       3},
+  };
+  for (const auto& [q, db, k] : cases) {
+    const CancelToken token = CancelToken::Make();
+    std::atomic<int> ran{0};
+    Parallelism par;
+    par.min_components = 2;
+    par.min_groups = 2;
+    par.run_all = [&](std::vector<std::function<void()>> tasks) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        tasks[i]();
+        ++ran;
+        if (i == 0) token.Cancel();
+      }
+    };
 
-  AdpOptions options;
-  options.cancel = &token;
-  options.parallelism = &par;
-  try {
-    // Root-path entry (ComputeAdp classifies this query as Decompose and
-    // takes the single-k fast path); the sharded BuildChildren is shared
-    // with DecomposeNode.
-    ComputeAdp(q, db, 6, options);
-    FAIL() << "expected CancelledError";
-  } catch (const CancelledError& e) {
-    EXPECT_EQ(e.reason(), CancelReason::kCancelled);
+    AdpOptions options;
+    AdpStats stats;
+    options.stats = &stats;
+    options.cancel = &token;
+    options.parallelism = &par;
+    try {
+      // Root-path entry: ComputeAdp takes the single-k fast path for the
+      // Decompose query and the full-profile node for the Universe one;
+      // both fan out through the same shared sub-solve loop.
+      ComputeAdp(q, db, k, options);
+      FAIL() << "expected CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_EQ(e.reason(), CancelReason::kCancelled);
+    }
+    // All tasks were invoked (run_all contract) but only the first solved.
+    EXPECT_EQ(ran.load(), 4);
+    EXPECT_EQ(stats.sharded_universe_nodes + stats.sharded_decompose_nodes,
+              1);
   }
-  // All tasks were invoked (run_all contract) but only the first solved.
-  EXPECT_EQ(ran.load(), 4);
 }
 
 class DecomposeOracleSweep : public ::testing::TestWithParam<int> {};
@@ -294,30 +334,6 @@ using workload::FamilyInstance;
 using workload::FamilyShape;
 using workload::FamilySpec;
 using workload::HeadClass;
-
-// Binds a family's named database as a root database in body order, as
-// the engine does, so witnesses carry root relation indices.
-Database BindRoot(const FamilyInstance& inst) {
-  Database db(static_cast<std::size_t>(inst.query.num_relations()));
-  for (int i = 0; i < inst.query.num_relations(); ++i) {
-    for (std::size_t j = 0; j < inst.db.relation_names.size(); ++j) {
-      if (inst.db.relation_names[j] != inst.query.relation(i).name) continue;
-      RelationInstance rel = inst.db.db.rel(j);
-      rel.set_root_relation(i);
-      db.rel(static_cast<std::size_t>(i)) = std::move(rel);
-    }
-  }
-  return db;
-}
-
-// FNV-1a over the witness list rendered as "relation:row;" items.
-std::uint64_t WitnessHash(const std::vector<TupleRef>& tuples) {
-  std::string text;
-  for (const TupleRef& t : tuples) {
-    text += std::to_string(t.relation) + ":" + std::to_string(t.row) + ";";
-  }
-  return HashBytes(text.data(), text.size());
-}
 
 AdpStats Stats(int singleton, int universe, int decompose,
                std::int64_t groups) {

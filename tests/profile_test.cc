@@ -1,6 +1,7 @@
 // CostProfile tests: invariants, convexity, and both combination semantics
-// against brute-force convolutions, plus ProductSplit's witness splits
-// against the per-target scans it replaced.
+// against brute-force convolutions, plus DisjointSplit's and ProductSplit's
+// witness splits against the split tables and per-target scans they
+// replaced.
 
 #include <gtest/gtest.h>
 
@@ -59,13 +60,15 @@ TEST(CombineDisjointTest, SimpleMerge) {
   // a removes outputs at cost 1 each; b removes 2 outputs for cost 1.
   const CostProfile a({0, 1, 2});
   const CostProfile b({0, 1, 1});
-  std::vector<std::int64_t> choice;
-  const CostProfile c = CombineDisjoint(a, b, 4, &choice);
+  const CostProfile c = CombineDisjoint(a, b, 4);
   EXPECT_EQ(c.At(1), 1);
   EXPECT_EQ(c.At(2), 1);  // take b's pair
   EXPECT_EQ(c.At(3), 2);  // b pair + one from a
   EXPECT_EQ(c.At(4), 3);
-  EXPECT_EQ(choice[2], 2);  // 2 outputs from b
+  const SplitChoice split = DisjointSplit(a, b, 2);
+  EXPECT_EQ(split.cost, 1);
+  EXPECT_EQ(split.k2, 2);  // 2 outputs from b
+  EXPECT_EQ(split.k1, 0);
 }
 
 TEST(CombineDisjointTest, MatchesBruteForce) {
@@ -81,7 +84,7 @@ TEST(CombineDisjointTest, MatchesBruteForce) {
     const CostProfile a = random_profile(static_cast<int>(rng.Uniform(6)));
     const CostProfile b = random_profile(static_cast<int>(rng.Uniform(6)));
     const std::int64_t cap = a.kmax() + b.kmax();
-    const CostProfile c = CombineDisjoint(a, b, cap, nullptr);
+    const CostProfile c = CombineDisjoint(a, b, cap);
     for (std::int64_t j = 0; j <= cap; ++j) {
       std::int64_t want = kInfCost;
       for (std::int64_t m = 0; m <= j; ++m) {
@@ -141,7 +144,7 @@ TEST(CombineProductTest, ChoiceReconstructsCost) {
   const CostProfile b({0, 1, 4, 6});
   const CostProfile c = CombineProduct(a, 2, b, 3, 6, false);
   for (std::int64_t j = 1; j <= c.kmax(); ++j) {
-    const ProductChoice split = ProductSplit(a, 2, b, 3, j);
+    const SplitChoice split = ProductSplit(a, 2, b, 3, j);
     EXPECT_EQ(split.cost, c.At(j)) << j;
     EXPECT_EQ(a.At(split.k1) + b.At(split.k2), c.At(j)) << j;
     EXPECT_GE(split.k1 * 3 + split.k2 * 2 - split.k1 * split.k2, j) << j;
@@ -151,13 +154,13 @@ TEST(CombineProductTest, ChoiceReconstructsCost) {
 // The per-target scan CombineProduct's improved path ran before it switched
 // to pair enumeration, kept here as the tie-break reference: ProductSplit
 // must pick the very split this loop recorded, or witnesses would change.
-ProductChoice ReferenceSplit(const CostProfile& a, std::int64_t ma,
-                             const CostProfile& b, std::int64_t mb,
-                             std::int64_t j) {
+SplitChoice ReferenceSplit(const CostProfile& a, std::int64_t ma,
+                           const CostProfile& b, std::int64_t mb,
+                           std::int64_t j) {
   auto removed = [&](std::int64_t k1, std::int64_t k2) {
     return SatAdd(SatMul(k1, mb - k2), SatMul(k2, ma));
   };
-  ProductChoice best;
+  SplitChoice best;
   const std::int64_t k2_hi = std::min(b.kmax(), std::min(mb, j));
   for (std::int64_t k2 = 0; k2 <= k2_hi; ++k2) {
     const std::int64_t cb = b.At(k2);
@@ -184,10 +187,10 @@ ProductChoice ReferenceSplit(const CostProfile& a, std::int64_t ma,
 
 // The root single-target loop SolveDecomposeSingleK ran before it called
 // ProductSplit: k2 up to b.kmax(), no k1 <= ma bound, no removed >= j guard.
-ProductChoice ReferenceRootSplit(const CostProfile& a, std::int64_t ma,
-                                 const CostProfile& b, std::int64_t mb,
-                                 std::int64_t j) {
-  ProductChoice best;
+SplitChoice ReferenceRootSplit(const CostProfile& a, std::int64_t ma,
+                               const CostProfile& b, std::int64_t mb,
+                               std::int64_t j) {
+  SplitChoice best;
   for (std::int64_t k2 = 0; k2 <= b.kmax(); ++k2) {
     std::int64_t k1;
     if (k2 >= mb) {
@@ -208,7 +211,7 @@ ProductChoice ReferenceRootSplit(const CostProfile& a, std::int64_t ma,
   return best;
 }
 
-void ExpectSameChoice(const ProductChoice& got, const ProductChoice& want,
+void ExpectSameChoice(const SplitChoice& got, const SplitChoice& want,
                       std::int64_t j) {
   EXPECT_EQ(got.cost, want.cost) << "j=" << j;
   EXPECT_EQ(got.k1, want.k1) << "j=" << j;
@@ -260,9 +263,71 @@ void ExpectMatchesAllPairs(const CostProfile& a, std::int64_t ma,
     }
     ASSERT_EQ(fast.At(j), want) << "j=" << j;
     ASSERT_EQ(naive.At(j), want) << "j=" << j;
-    const ProductChoice split = ProductSplit(a, ma, b, mb, j);
+    const SplitChoice split = ProductSplit(a, ma, b, mb, j);
     ExpectSameChoice(split, ReferenceSplit(a, ma, b, mb, j), j);
     ASSERT_EQ(split.cost, want) << "j=" << j;
+  }
+}
+
+// CombineDisjoint's split table before splits moved to report time, kept
+// as the tie-break reference: choice[j] is the m taken from `b`, the first
+// strict minimum of an ascending scan. DisjointSplit must pick the very
+// same m, or Universe witnesses would change.
+std::vector<std::int64_t> ReferenceDisjointChoices(const CostProfile& a,
+                                                   const CostProfile& b,
+                                                   std::int64_t cap) {
+  const std::int64_t out_kmax = std::min(cap, a.kmax() + b.kmax());
+  std::vector<std::int64_t> out(static_cast<std::size_t>(out_kmax) + 1,
+                                kInfCost);
+  std::vector<std::int64_t> choice(out.size(), 0);
+  for (std::int64_t j = 0; j <= out_kmax; ++j) {
+    const std::int64_t mmax = std::min(j, b.kmax());
+    const std::int64_t mmin = std::max<std::int64_t>(0, j - a.kmax());
+    for (std::int64_t m = mmin; m <= mmax; ++m) {
+      const std::int64_t c = a.At(j - m) + b.At(m);
+      if (c < out[j]) {
+        out[j] = c;
+        choice[j] = m;
+      }
+    }
+  }
+  return choice;
+}
+
+TEST(DisjointSplitTest, MatchesTheSplitTable) {
+  // Tie-heavy profiles with kInfCost suffixes, caps mostly below
+  // a.kmax() + b.kmax().
+  Rng rng(4242);
+  for (int iter = 0; iter < 200; ++iter) {
+    SCOPED_TRACE(iter);
+    const CostProfile a =
+        TieHeavyProfile(rng, static_cast<std::int64_t>(rng.Uniform(30)));
+    const CostProfile b =
+        TieHeavyProfile(rng, static_cast<std::int64_t>(rng.Uniform(30)));
+    const std::int64_t full = a.kmax() + b.kmax();
+    const std::int64_t cap =
+        rng.Uniform(4) == 0 ? full
+                            : static_cast<std::int64_t>(rng.Uniform(full + 1));
+    const CostProfile c = CombineDisjoint(a, b, cap);
+    const std::vector<std::int64_t> choice =
+        ReferenceDisjointChoices(a, b, cap);
+    ASSERT_EQ(c.kmax(), std::min(cap, full));
+    for (std::int64_t j = 0; j <= c.kmax(); ++j) {
+      std::int64_t want = kInfCost;
+      for (std::int64_t m = 0; m <= j; ++m) {
+        if (a.Feasible(j - m) && b.Feasible(m)) {
+          want = std::min(want, a.At(j - m) + b.At(m));
+        }
+      }
+      const SplitChoice split = DisjointSplit(a, b, j);
+      ASSERT_EQ(c.At(j), want) << "j=" << j;
+      ASSERT_EQ(split.cost, want) << "j=" << j;
+      ASSERT_EQ(split.k2, choice[j]) << "j=" << j;
+      ASSERT_EQ(split.k1, j - choice[j]) << "j=" << j;
+      if (want < kInfCost) {
+        ASSERT_EQ(a.At(split.k1) + b.At(split.k2), want) << "j=" << j;
+      }
+    }
   }
 }
 
@@ -324,7 +389,7 @@ TEST(ProductSplitTest, ScansK2OnlyUpToTarget) {
   // stops at k2 <= j and still agrees with the unbounded root loop.
   const CostProfile a({0, 5});
   const CostProfile b({0, 3, 3, 3, 3});
-  const ProductChoice split = ProductSplit(a, 1, b, 4, 2);
+  const SplitChoice split = ProductSplit(a, 1, b, 4, 2);
   EXPECT_EQ(split.cost, 3);
   EXPECT_EQ(split.k1, 0);
   EXPECT_EQ(split.k2, 2);
@@ -338,7 +403,7 @@ TEST(ProductSplitTest, RejectsK1BeyondFactorSize) {
   // loop, which lacks both checks, would report a bogus cost-1 split.
   const CostProfile a({0, 1, 2, 3, 4, 5});
   const CostProfile b({0, 1});
-  const ProductChoice split = ProductSplit(a, 2, b, 1, 3);
+  const SplitChoice split = ProductSplit(a, 2, b, 1, 3);
   EXPECT_EQ(split.cost, kInfCost);
   EXPECT_EQ(ReferenceRootSplit(a, 2, b, 1, 3).cost, 1);
 }
@@ -350,7 +415,7 @@ TEST(ProductSplitTest, SaturatedRemovalsDoNotReachBeyondTheCap) {
   // closed form's k1 = 1 at k2 = 1 looks feasible before saturation.
   const CostProfile a({0, 1, 2});
   const CostProfile b({0, 1, 2});
-  const ProductChoice at_cap = ProductSplit(a, kMaxOutputs, b, 2, kMaxOutputs);
+  const SplitChoice at_cap = ProductSplit(a, kMaxOutputs, b, 2, kMaxOutputs);
   EXPECT_EQ(at_cap.cost, 1);
   EXPECT_EQ(at_cap.k1, 0);
   EXPECT_EQ(at_cap.k2, 1);
