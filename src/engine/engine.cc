@@ -145,11 +145,10 @@ std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   plan->dispatch = BuildDispatchPlan(plan->residual, req.options);
   // The dispatch build already ran the linearization search for a boolean
   // residual; reuse its result instead of searching again.
-  const PlanEntry* root = plan->dispatch.Find(plan->residual);
+  const PlanNode& root = plan->dispatch.root();
   plan->verdict = ClassifyResidual(
-      plan->residual, root != nullptr && root->op == AdpCase::kBoolean
-                          ? root->linear_order
-                          : std::nullopt);
+      plan->residual,
+      root.op == AdpCase::kBoolean ? root.linear_order : std::nullopt);
   plan->fingerprint = QueryFingerprint(plan->query);
   return plan;
 }
@@ -464,49 +463,6 @@ StatusOr<PreparedQuery> AdpEngine::PrepareRequest(const AdpRequest& req) {
   prepared.plan_key_ = plan_key;
   prepared.option_bits_ = OptionBits(req.options);
   return prepared;
-}
-
-StatusOr<std::vector<PreparedQuery>> AdpEngine::PrepareBatch(
-    std::span<const std::string> query_texts, const AdpOptions& options) {
-  if (IsShutdown()) {
-    return Status(StatusCode::kShutdown, "engine is shut down");
-  }
-  std::vector<PreparedQuery> out;
-  out.reserve(query_texts.size());
-  // One plan-cache pass per *unique* plan key: duplicates within the batch
-  // reuse the already-resolved plan instead of re-probing (and possibly
-  // re-parsing under) the shared cache.
-  std::unordered_map<std::string, std::shared_ptr<const CachedPlan>> resolved;
-  for (const std::string& text : query_texts) {
-    AdpRequest req;
-    req.query_text = text;
-    req.options = options;
-    const std::string plan_key = PlanKey(req);
-    std::shared_ptr<const CachedPlan> plan;
-    auto it = resolved.find(plan_key);
-    if (it != resolved.end()) {
-      plan = it->second;
-    } else {
-      try {
-        plan = GetPlan(req, plan_key, nullptr);
-      } catch (const ParseError& e) {
-        return Status(StatusCode::kParseError,
-                      std::string(e.what()) + " (batch query " +
-                          std::to_string(out.size()) + ")");
-      } catch (const std::exception& e) {
-        return Status(StatusCode::kInternal, e.what());
-      }
-      resolved.emplace(plan_key, plan);
-    }
-    PreparedQuery prepared;
-    prepared.engine_ = this;
-    prepared.plan_ = plan;
-    prepared.fingerprint_ = plan->fingerprint;
-    prepared.plan_key_ = plan_key;
-    prepared.option_bits_ = OptionBits(options);
-    out.push_back(std::move(prepared));
-  }
-  return out;
 }
 
 Status AdpEngine::BindPrepared(PreparedQuery& prepared, DbId db) {

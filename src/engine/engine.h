@@ -70,7 +70,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -248,14 +247,6 @@ class AdpEngine {
                                   const AdpOptions& options = {});
   StatusOr<PreparedQuery> Prepare(const ConjunctiveQuery& query,
                                   const AdpOptions& options = {});
-
-  /// Batched Prepare: the static work for every query text under one cache
-  /// pass — duplicate texts (same plan key) resolve the plan cache once and
-  /// share the plan object. All-or-nothing: the first failing query's
-  /// Status is returned and no handles are. Handles are positionally
-  /// aligned with `query_texts`.
-  StatusOr<std::vector<PreparedQuery>> PrepareBatch(
-      std::span<const std::string> query_texts, const AdpOptions& options = {});
 
   // --- Requests ------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -19,18 +20,6 @@
 
 namespace adp {
 namespace {
-
-// Algorithm 2 dispatch, preferring the precomputed plan when one is set.
-// The plan entry (if any) is handed back so case handlers reuse it without
-// a second canonical-key lookup.
-AdpCase Classify(const ConjunctiveQuery& q, const AdpOptions& options,
-                 const PlanEntry** entry_out = nullptr) {
-  const PlanEntry* entry =
-      options.plan != nullptr ? options.plan->Find(q) : nullptr;
-  if (entry_out != nullptr) *entry_out = entry;
-  if (entry != nullptr) return entry->op;
-  return ClassifyAdpCase(q, options);
-}
 
 AdpNode TrivialNode(const AdpOptions& options) {
   AdpNode node;
@@ -52,27 +41,16 @@ AdpNode HeuristicNode(const ConjunctiveQuery& q, const Database& db,
 
 AdpNode BooleanNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const PlanEntry* entry) {
+                    const PlanNode& plan) {
   const std::int64_t count = static_cast<std::int64_t>(
       CountOutputs(q.body(), q.head(), db));
   if (count == 0 || cap <= 0) return TrivialNode(options);
   if (options.stats) ++options.stats->boolean_nodes;
-  // With a plan entry, the §7.1 permutation search was done once at plan
-  // time: reuse its arrangement, or skip straight to the fallback if it
-  // proved none exists.
-  const std::vector<int>* planned_order = nullptr;
-  bool planned_no_order = false;
-  if (entry != nullptr && entry->op == AdpCase::kBoolean) {
-    if (entry->linear_order) {
-      planned_order = &*entry->linear_order;
-    } else {
-      planned_no_order = true;
-    }
-  }
-  if (auto exact = planned_no_order
-                       ? std::nullopt
-                       : SolveBooleanExact(q, db, options.restrictions,
-                                           planned_order)) {
+  // The §7.1 permutation search ran once, at plan time.
+  if (auto exact = plan.linear_order
+                       ? SolveBooleanExact(q, db, options.restrictions,
+                                           &*plan.linear_order)
+                       : std::nullopt) {
     AdpNode node;
     node.exact = true;
     // A cut at or above kInfCapacity means the query cannot be falsified
@@ -109,18 +87,18 @@ const char* SpanNameFor(AdpCase c) {
 
 // The Algorithm-2 dispatch switch, shared by the traced and untraced paths
 // of ComputeAdpNode.
-AdpNode DispatchCase(AdpCase c, const ConjunctiveQuery& q, const Database& db,
+AdpNode DispatchCase(const ConjunctiveQuery& q, const Database& db,
                      std::int64_t cap, const AdpOptions& options,
-                     const PlanEntry* entry) {
-  switch (c) {
+                     const PlanNode& plan) {
+  switch (plan.op) {
     case AdpCase::kBoolean:
-      return BooleanNode(q, db, cap, options, entry);
+      return BooleanNode(q, db, cap, options, plan);
     case AdpCase::kSingleton:
       return SingletonNode(q, db, cap, options);
     case AdpCase::kUniverse:
-      return UniverseNode(q, db, cap, options);
+      return UniverseNode(q, db, cap, options, plan);
     case AdpCase::kDecompose:
-      return DecomposeNode(q, db, cap, options);
+      return DecomposeNode(q, db, cap, options, plan);
     case AdpCase::kHeuristic:
       return HeuristicNode(q, db, cap, options);
   }
@@ -178,21 +156,20 @@ AdpCase ClassifyAdpCase(const ConjunctiveQuery& q, const AdpOptions& options) {
 }
 
 AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options) {
+                       std::int64_t cap, const AdpOptions& options,
+                       const PlanNode& plan) {
   ThrowIfCancelled(options);
   if (cap <= 0) return TrivialNode(options);
-  const PlanEntry* entry = nullptr;
-  const AdpCase c = Classify(q, options, &entry);
   if (options.trace == nullptr) {
     // Tracing disabled: this null check — at the same boundary that polled
     // the cancel token above — is the layer's entire per-node overhead.
-    return DispatchCase(c, q, db, cap, options, entry);
+    return DispatchCase(q, db, cap, options, plan);
   }
-  obs::Span span(options.trace, SpanNameFor(c), options.trace_parent);
+  obs::Span span(options.trace, SpanNameFor(plan.op), options.trace_parent);
   span.Tag("cap", cap);
   AdpOptions traced = options;
   traced.trace_parent = span.id();
-  return DispatchCase(c, q, db, cap, traced, entry);
+  return DispatchCase(q, db, cap, traced, plan);
 }
 
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
@@ -222,7 +199,11 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     return solution;
   }
 
-  if (progress == nullptr && Classify(*query, options) == AdpCase::kDecompose) {
+  std::optional<DispatchPlan> own_plan;
+  if (options.plan == nullptr) own_plan = BuildDispatchPlan(*query, options);
+  const PlanNode& plan = (own_plan ? *own_plan : *options.plan).root();
+
+  if (progress == nullptr && plan.op == AdpCase::kDecompose) {
     // Root fast path: avoids profiles of length k (k can be a fraction of a
     // cross-product-sized |Q(D)|). Bypasses ComputeAdpNode, so it opens its
     // own node span.
@@ -233,14 +214,14 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     AdpOptions inner = options;
     inner.trace_parent = span.id() != 0 ? span.id() : options.trace_parent;
     DecomposeSingleResult res =
-        SolveDecomposeSingleK(*query, *data, k, inner);
+        SolveDecomposeSingleK(*query, *data, k, inner, plan);
     solution.cost = res.cost;
     solution.exact = res.exact;
     solution.tuples = std::move(res.tuples);
   } else {
     // THE solve: one DP covering every target 1..k. Streamed per-k
     // increments read straight off its profile — no per-k re-solves.
-    AdpNode node = ComputeAdpNode(*query, *data, k, options);
+    AdpNode node = ComputeAdpNode(*query, *data, k, options, plan);
     const bool witnessed = !options.counting_only && node.report != nullptr;
     // report() is pure over the finished DP, so calling it per target is
     // safe.

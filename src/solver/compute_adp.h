@@ -29,6 +29,7 @@
 namespace adp {
 
 class DispatchPlan;
+struct PlanNode;
 
 namespace obs {
 class TraceSink;  // obs/trace.h; forward-declared to keep the solver light
@@ -146,13 +147,13 @@ struct AdpOptions {
   /// If set, receives recursion statistics. Not owned.
   AdpStats* stats = nullptr;
 
-  /// Precomputed dispatch plan (solver/plan.h). When set, recursion nodes
-  /// whose query structure appears in the plan reuse the recorded case and
-  /// linear arrangement instead of re-deriving them. Must have been built
-  /// with options whose classification-relevant knobs (use_singleton,
-  /// universe_strategy, presence of restrictions) match this request's.
-  /// Not owned; must outlive the solve. Read-only, so one plan may serve
-  /// many concurrent solves.
+  /// Dispatch plan of the query's selection-free residual (solver/plan.h),
+  /// or null: ComputeAdp then plans the query itself. The recursion walks
+  /// the plan by position, so a plan built from a copy with relations and
+  /// attributes renamed serves equally well. It must have been built with
+  /// this request's classification-relevant knobs (use_singleton,
+  /// universe_strategy, presence of restrictions). Not owned; must outlive
+  /// the solve. Read-only, so one plan may serve many concurrent solves.
   const DispatchPlan* plan = nullptr;
 
   /// Intra-request parallelism (see Parallelism above). Not owned; must
@@ -227,8 +228,9 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t k, const AdpOptions& options = {},
                        const AdpProgress* progress = nullptr);
 
-/// Algorithm 2's dispatch decision for a selection-free query. Exposed so
-/// plan builders (solver/plan.h) share the exact logic the recursion uses.
+/// Algorithm 2's dispatch decision for a selection-free query. Called only
+/// while building a dispatch plan (solver/plan.h); the recursion reads the
+/// decision off its plan node.
 AdpCase ClassifyAdpCase(const ConjunctiveQuery& q, const AdpOptions& options);
 
 // --- Internal recursion interface (exposed for sub-solvers and tests) -----
@@ -247,9 +249,11 @@ struct AdpNode {
   Reporter report;
 };
 
-/// Recursion entry point; `q` must be selection-free.
+/// Recursion entry point; `q` must be selection-free and `plan` the dispatch
+/// plan node of its structure.
 AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options);
+                       std::int64_t cap, const AdpOptions& options,
+                       const PlanNode& plan);
 
 }  // namespace adp
 

@@ -10,6 +10,7 @@
 #include "query/transform.h"
 #include "relational/join.h"
 #include "solver/children.h"
+#include "solver/plan.h"
 
 namespace adp {
 namespace {
@@ -110,14 +111,16 @@ std::int64_t EnumerateVectors(const ChildFold& s, std::int64_t j,
 // (§7.3, or Algorithm 5's naive inner loop for the Fig. 29 ablation).
 std::shared_ptr<ChildFold> BuildChildren(const Components& parts,
                                          std::int64_t cap,
-                                         const AdpOptions& options) {
+                                         const AdpOptions& options,
+                                         const PlanNode& plan) {
   auto fold = std::make_shared<ChildFold>();
   fold->children = SolveChildren(
       ChildAxis::kDecomposeComponents, parts.order.size(), options,
       [&](std::size_t i, const AdpOptions& child_options) {
         const std::size_t idx = parts.order[i];
         return ComputeAdpNode(parts.subs[idx].query, parts.dbs[idx],
-                              std::min(parts.m[idx], cap), child_options);
+                              std::min(parts.m[idx], cap), child_options,
+                              plan.children[idx]);
       },
       &parts.order);
   for (std::size_t idx : parts.order) fold->m.push_back(parts.m[idx]);
@@ -139,11 +142,12 @@ std::shared_ptr<ChildFold> BuildChildren(const Components& parts,
 }  // namespace
 
 AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options) {
+                      std::int64_t cap, const AdpOptions& options,
+                      const PlanNode& plan) {
   const Components parts = SplitComponents(q, db, options);
   const std::int64_t out_kmax = std::min(cap, parts.total);
   CheckProfileLimit(out_kmax);
-  auto state = BuildChildren(parts, out_kmax, options);
+  auto state = BuildChildren(parts, out_kmax, options, plan);
 
   AdpNode node;
   for (const AdpNode& c : state->children) node.exact &= c.exact;
@@ -181,10 +185,11 @@ AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
 DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
                                             const Database& db,
                                             std::int64_t k,
-                                            const AdpOptions& options) {
+                                            const AdpOptions& options,
+                                            const PlanNode& plan) {
   const Components parts = SplitComponents(q, db, options);
   DecomposeSingleResult result;
-  auto state = BuildChildren(parts, k, options);
+  auto state = BuildChildren(parts, k, options, plan);
   for (const AdpNode& c : state->children) result.exact &= c.exact;
 
   if (options.decompose_strategy ==

@@ -34,9 +34,11 @@
 namespace adp {
 
 /// Builds the recursion node with a full profile up to `cap`.
-/// Precondition: q is disconnected (>= 2 components).
+/// Precondition: q is disconnected (>= 2 components) and `plan` is q's
+/// Decompose plan node; component i solves its child i.
 AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options);
+                      std::int64_t cap, const AdpOptions& options,
+                      const PlanNode& plan);
 
 /// Result of the root-optimized single-target solve.
 struct DecomposeSingleResult {
@@ -45,12 +47,13 @@ struct DecomposeSingleResult {
   std::vector<TupleRef> tuples;  // empty when counting_only
 };
 
-/// Solves exactly one target k at the recursion root. Preconditions: q is
-/// disconnected and 1 <= k <= |Q(D)|.
+/// Solves exactly one target k at the recursion root. Preconditions as for
+/// DecomposeNode, and 1 <= k <= |Q(D)|.
 DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
                                             const Database& db,
                                             std::int64_t k,
-                                            const AdpOptions& options);
+                                            const AdpOptions& options,
+                                            const PlanNode& plan);
 
 }  // namespace adp
 

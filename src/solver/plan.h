@@ -5,23 +5,24 @@
 // attributes, and connectivity never look at the data. The recursion's
 // derived queries are likewise data-independent — all Universe groups share
 // one residual query, and Decompose's components are fixed by the body's
-// join graph. A DispatchPlan walks that skeleton once, recording for each
-// reachable query structure (keyed by its canonical fingerprint) the chosen
-// case and, for boolean nodes, the linear arrangement found by the
-// exhaustive permutation search in §7.1 — the single most expensive piece
-// of query-complexity work.
+// join graph. A DispatchPlan is that skeleton as one tree: each node holds
+// the case chosen for its query and, for boolean nodes, the linear
+// arrangement found by the exhaustive permutation search in §7.1 — the
+// single most expensive piece of query-complexity work — plus one child per
+// derived query.
 //
-// A solve with AdpOptions::plan set then skips straight to data-dependent
-// work: classification becomes a hash lookup and the Boolean solver receives
-// its arrangement precomputed. Plans are immutable after construction, so
-// one instance may serve any number of concurrent solves.
+// The recursion walks the tree by position: a Universe node hands child 0 to
+// every partition group, a Decompose node hands child i to component i.
+// Nothing is classified, hashed or looked up at solve time; ComputeAdp
+// builds the plan itself when AdpOptions::plan is null. Plans are immutable
+// after construction, so one instance may serve any number of concurrent
+// solves.
 
 #ifndef ADP_SOLVER_PLAN_H_
 #define ADP_SOLVER_PLAN_H_
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "query/query.h"
@@ -29,47 +30,38 @@
 
 namespace adp {
 
-/// The cached decision for one query structure of the recursion.
-struct PlanEntry {
+/// The decision for one node of the ComputeADP recursion.
+struct PlanNode {
   AdpCase op = AdpCase::kHeuristic;
+
+  /// Canonical key of the node's query (query/fingerprint.h), for ToString.
+  std::string key;
 
   /// Boolean nodes only: the linear arrangement, or nullopt if the
   /// permutation search proved none exists (the solver then goes straight
-  /// to the greedy fallback without repeating the search).
+  /// to the greedy fallback).
   std::optional<std::vector<int>> linear_order;
+
+  /// One per derived query, in the order the solver derives them: Universe
+  /// has one (the residual every group solves), Decompose one per
+  /// DecomposeQuery component. Leaves have none.
+  std::vector<PlanNode> children;
 };
 
 /// The data-independent skeleton of one ComputeADP recursion.
 class DispatchPlan {
  public:
-  /// Entry for `q`'s structure, or nullptr if `q` was not reachable from
-  /// the planned root (the solver then re-derives the decision locally).
-  const PlanEntry* Find(const ConjunctiveQuery& q) const;
-
-  /// Entry by precomputed canonical key (query/fingerprint.h).
-  const PlanEntry* FindByKey(const std::string& key) const;
-
-  /// Number of distinct query structures in the plan.
-  std::size_t size() const { return entries_.size(); }
+  /// The node of the query the plan was built for.
+  const PlanNode& root() const { return root_; }
 
   /// Indented rendering of the dispatch tree, for diagnostics/EXPLAIN.
   std::string ToString() const;
-
-  /// One node of the dispatch tree (root() mirrors the recursion shape;
-  /// entries() is the flat lookup the solver uses).
-  struct TreeNode {
-    std::string key;
-    AdpCase op = AdpCase::kHeuristic;
-    std::vector<TreeNode> children;
-  };
-  const TreeNode& root() const { return root_; }
 
  private:
   friend DispatchPlan BuildDispatchPlan(const ConjunctiveQuery& q,
                                         const AdpOptions& options);
 
-  TreeNode root_;
-  std::unordered_map<std::string, PlanEntry> entries_;
+  PlanNode root_;
 };
 
 /// Builds the plan for `q`, which must be selection-free (the engine plans

@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "query/transform.h"
 #include "solver/children.h"
+#include "solver/plan.h"
 
 namespace adp {
 namespace {
@@ -92,15 +93,24 @@ AdpNode MergeConvex(std::vector<AdpNode> children, std::int64_t cap,
 
 }  // namespace
 
-AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
-                     std::int64_t cap, const AdpOptions& options) {
-  AttrSet to_remove = q.UniversalAttrs();
-  if (options.universe_strategy == AdpOptions::UniverseStrategy::kOneByOne) {
-    // Figure 28 strategy 1: peel a single universal attribute; the residual
-    // query still has the rest, so the recursion stacks partitions.
-    to_remove = AttrSet::Of(*to_remove.begin());
+AttrSet UniverseAttrs(const ConjunctiveQuery& q, const AdpOptions& options) {
+  const AttrSet universal = q.UniversalAttrs();
+  if (options.universe_strategy != AdpOptions::UniverseStrategy::kOneByOne) {
+    return universal;
   }
+  // Peel a single universal attribute; the residual query still has the
+  // rest, so the recursion stacks partitions. Every universal attribute
+  // occurs in the first atom.
+  for (AttrId a : q.relation(0).attrs) {
+    if (universal.Contains(a)) return AttrSet::Of(a);
+  }
+  return universal;
+}
 
+AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
+                     std::int64_t cap, const AdpOptions& options,
+                     const PlanNode& plan) {
+  const AttrSet to_remove = UniverseAttrs(q, options);
   const ConjunctiveQuery residual = RemoveAttributes(q, to_remove);
   std::vector<UniverseGroup> groups = PartitionByAttrs(q, db, to_remove);
   if (options.stats) {
@@ -119,7 +129,8 @@ AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
   fold->children = SolveChildren(
       ChildAxis::kUniverseGroups, groups.size(), options,
       [&](std::size_t i, const AdpOptions& child_options) {
-        return ComputeAdpNode(residual, groups[i].db, cap, child_options);
+        return ComputeAdpNode(residual, groups[i].db, cap, child_options,
+                              plan.children[0]);
       });
   if (fold->children.empty()) {
     // No complete class: Q(D) is empty.

@@ -24,9 +24,17 @@
 
 namespace adp {
 
-/// Builds the recursion node. Precondition: q.UniversalAttrs() nonempty.
+/// The attributes a Universe node over `q` partitions on and removes: every
+/// universal attribute, or under UniverseStrategy::kOneByOne (Figure 28
+/// strategy 1) the first one in body order — a choice made on query
+/// structure alone, so plans built from renamed copies walk alike.
+AttrSet UniverseAttrs(const ConjunctiveQuery& q, const AdpOptions& options);
+
+/// Builds the recursion node. Precondition: q.UniversalAttrs() nonempty and
+/// `plan` is q's Universe plan node; every group solves its child 0.
 AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
-                     std::int64_t cap, const AdpOptions& options);
+                     std::int64_t cap, const AdpOptions& options,
+                     const PlanNode& plan);
 
 }  // namespace adp
 

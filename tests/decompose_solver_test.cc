@@ -42,7 +42,8 @@ TEST(DecomposeTest, CrossProductCosts) {
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}}, {"R2", {{5}, {6}, {7}}}});
   // |Q(D)| = 6. Removing one R1 tuple removes 3 products; one R2 tuple, 2.
   AdpOptions options;
-  const AdpNode node = DecomposeNode(q, db, 6, options);
+  const AdpNode node = DecomposeNode(q, db, 6, options,
+                                     BuildDispatchPlan(q, options).root());
   EXPECT_TRUE(node.exact);
   EXPECT_EQ(node.profile.At(1), 1);
   EXPECT_EQ(node.profile.At(3), 1);   // one R1 tuple
@@ -56,10 +57,16 @@ TEST(DecomposeTest, StrategiesAgreeOnOptimalCosts) {
   const ConjunctiveQuery q = ParseQuery(
       "Q(A1,B1,A2,B2,A3,B3) :- R11(A1), R12(A1,B1), R21(A2), R22(A2,B2), "
       "R31(A3), R32(A3,B3)");
-  Rng rng(81);
-  const Database db = RandomDb(q, rng, 4, 3);
+  // Every component joins, with 3, 6 and 4 outputs of uneven fan-out.
+  const Database db = MakeDb(
+      q, {{"R11", {{1}, {2}}},
+          {"R12", {{1, 1}, {1, 2}, {2, 1}}},
+          {"R21", {{1}, {2}, {3}}},
+          {"R22", {{1, 1}, {2, 1}, {2, 2}, {3, 1}, {3, 2}, {3, 3}}},
+          {"R31", {{1}}},
+          {"R32", {{1, 1}, {1, 2}, {1, 3}, {1, 4}}}});
   const std::int64_t total = OracleCount(q, db);
-  if (total == 0) GTEST_SKIP();
+  ASSERT_GT(total, 0);
   const std::int64_t cap = std::min<std::int64_t>(total, 20);
 
   AdpOptions improved;
@@ -68,9 +75,12 @@ TEST(DecomposeTest, StrategiesAgreeOnOptimalCosts) {
   AdpOptions full;
   full.decompose_strategy = AdpOptions::DecomposeStrategy::kFullEnumeration;
 
-  const AdpNode a = DecomposeNode(q, db, cap, improved);
-  const AdpNode b = DecomposeNode(q, db, cap, naive);
-  const AdpNode c = DecomposeNode(q, db, cap, full);
+  const AdpNode a = DecomposeNode(q, db, cap, improved,
+                                  BuildDispatchPlan(q, improved).root());
+  const AdpNode b = DecomposeNode(q, db, cap, naive,
+                                  BuildDispatchPlan(q, naive).root());
+  const AdpNode c = DecomposeNode(q, db, cap, full,
+                                  BuildDispatchPlan(q, full).root());
   for (std::int64_t j = 0; j <= cap; ++j) {
     EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "j=" << j;
     EXPECT_EQ(a.profile.At(j), c.profile.At(j)) << "j=" << j;
@@ -85,10 +95,11 @@ TEST(DecomposeTest, SingleKMatchesProfile) {
     const std::int64_t total = OracleCount(q, db);
     if (total == 0) continue;
     AdpOptions options;
-    const AdpNode node = DecomposeNode(q, db, total, options);
+    const DispatchPlan plan = BuildDispatchPlan(q, options);
+    const AdpNode node = DecomposeNode(q, db, total, options, plan.root());
     for (std::int64_t k = 1; k <= total; ++k) {
       const DecomposeSingleResult single =
-          SolveDecomposeSingleK(q, db, k, options);
+          SolveDecomposeSingleK(q, db, k, options, plan.root());
       EXPECT_EQ(single.cost, node.profile.At(k)) << "k=" << k;
       EXPECT_GE(CountRemovedOutputs(q, db, single.tuples), k);
     }
@@ -102,12 +113,14 @@ TEST(DecomposeTest, ThreeComponentsSingleK) {
       q, {{"R1", {{1}, {2}}}, {"R2", {{1}, {2}}}, {"R3", {{1}, {2}}}});
   // |Q(D)| = 8; removing one tuple removes 4 products.
   AdpOptions options;
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 4, options).cost, 1);
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 5, options).cost, 2);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  EXPECT_EQ(SolveDecomposeSingleK(q, db, 4, options, plan.root()).cost, 1);
+  EXPECT_EQ(SolveDecomposeSingleK(q, db, 5, options, plan.root()).cost, 2);
   // 2 tuples from different factors: 4+4-2=6; same factor: 8.
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 6, options).cost, 2);
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 7, options).cost, 2);  // whole factor
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 8, options).cost, 2);
+  EXPECT_EQ(SolveDecomposeSingleK(q, db, 6, options, plan.root()).cost, 2);
+  // whole factor
+  EXPECT_EQ(SolveDecomposeSingleK(q, db, 7, options, plan.root()).cost, 2);
+  EXPECT_EQ(SolveDecomposeSingleK(q, db, 8, options, plan.root()).cost, 2);
 }
 
 // Sharding the component sub-solves across an executor must not change any
@@ -144,13 +157,15 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
       AdpOptions sequential;
       AdpStats seq_stats;
       sequential.stats = &seq_stats;
-      const AdpNode a = DecomposeNode(q, db, cap, sequential);
+      const AdpNode a = DecomposeNode(q, db, cap, sequential,
+                                      BuildDispatchPlan(q, sequential).root());
 
       AdpOptions sharded = sequential;
       AdpStats shard_stats;
       sharded.stats = &shard_stats;
       sharded.parallelism = &par;
-      const AdpNode b = DecomposeNode(q, db, cap, sharded);
+      const AdpNode b = DecomposeNode(q, db, cap, sharded,
+                                      BuildDispatchPlan(q, sharded).root());
 
       for (std::int64_t j = 0; j <= cap; ++j) {
         ASSERT_EQ(a.profile.At(j), b.profile.At(j))
@@ -165,9 +180,11 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
       // The root single-target fast path shards its BuildChildren too.
       for (std::int64_t k = 1; k <= cap; k += 3) {
         const DecomposeSingleResult sa =
-            SolveDecomposeSingleK(q, db, k, sequential);
+            SolveDecomposeSingleK(q, db, k, sequential,
+                                  BuildDispatchPlan(q, sequential).root());
         const DecomposeSingleResult sb =
-            SolveDecomposeSingleK(q, db, k, sharded);
+            SolveDecomposeSingleK(q, db, k, sharded,
+                                  BuildDispatchPlan(q, sharded).root());
         EXPECT_EQ(sa.cost, sb.cost) << text << " iter " << iter << " k " << k;
         EXPECT_EQ(sa.tuples, sb.tuples)
             << text << " iter " << iter << " k " << k;
@@ -219,7 +236,8 @@ TEST(DecomposeTest, ZeroMinComponentsDisablesSharding) {
   AdpStats stats;
   options.stats = &stats;
   options.parallelism = &par;
-  const AdpNode node = DecomposeNode(q, db, 4, options);
+  const AdpNode node = DecomposeNode(q, db, 4, options,
+                                     BuildDispatchPlan(q, options).root());
   EXPECT_EQ(node.profile.At(2), 1);
   EXPECT_EQ(fanouts.load(), 0);
   EXPECT_EQ(stats.sharded_decompose_nodes, 0);
@@ -230,7 +248,8 @@ TEST(DecomposeTest, ZeroMinComponentsDisablesSharding) {
   const ConjunctiveQuery uq = ParseQuery("Q(A) :- R1(A,B), R2(A,C)");
   const Database udb = MakeDb(uq, {{"R1", {{1, 5}, {2, 5}}},
                                    {"R2", {{1, 7}, {2, 7}, {2, 8}}}});
-  const AdpNode unode = UniverseNode(uq, udb, 2, options);
+  const AdpNode unode = UniverseNode(uq, udb, 2, options,
+                                     BuildDispatchPlan(uq, options).root());
   EXPECT_EQ(unode.profile.At(2), 2);
   EXPECT_EQ(stats.universe_groups, 2);
   EXPECT_EQ(fanouts.load(), 0);
@@ -308,7 +327,8 @@ TEST_P(DecomposeOracleSweep, OptimalForAllK) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0 || db.TotalTuples() > 12) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = DecomposeNode(q, db, total, options);
+  const AdpNode node = DecomposeNode(q, db, total, options,
+                                     BuildDispatchPlan(q, options).root());
   ASSERT_TRUE(node.exact);
   for (std::int64_t k = 1; k <= total; ++k) {
     EXPECT_EQ(node.profile.At(k), OracleAdp(q, db, k)) << "k=" << k;

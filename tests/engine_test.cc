@@ -1550,51 +1550,6 @@ TEST(AdpEngineTest, CoalescingDisabledByDefault) {
   EXPECT_EQ(engine.counters().coalesce_hits, 0u);
 }
 
-// --- PrepareBatch ------------------------------------------------------------
-
-TEST(AdpEngineTest, PrepareBatchAmortizesPlanWorkAcrossDuplicates) {
-  AdpEngine engine(EngineConfig{.num_workers = 1});
-  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
-
-  const std::vector<std::string> texts = {
-      kChainText,
-      "Q(A) :- R1(A,B)",
-      kChainText,  // duplicate: must reuse the first resolution
-  };
-  StatusOr<std::vector<PreparedQuery>> batch = engine.PrepareBatch(texts);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 3u);
-  for (const PreparedQuery& p : *batch) EXPECT_TRUE(p.valid());
-
-  // One plan-cache miss per UNIQUE query, not per entry.
-  EXPECT_EQ(engine.counters().plan_misses, 2u);
-  // Duplicates share the plan object itself.
-  EXPECT_EQ((*batch)[0].plan().get(), (*batch)[2].plan().get());
-  EXPECT_EQ((*batch)[0].fingerprint(), (*batch)[2].fingerprint());
-  EXPECT_NE((*batch)[0].fingerprint(), (*batch)[1].fingerprint());
-
-  // Handles are ordinary prepared handles: bindable and executable.
-  PreparedQuery first = (*batch)[0];
-  ASSERT_TRUE(first.Bind(db).ok());
-  const AdpResponse resp = engine.Execute(first, /*k=*/2);
-  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.solution.cost,
-            ComputeAdp(ParseQuery(kChainText), Fig1NamedDb().db, 2, {}).cost);
-}
-
-TEST(AdpEngineTest, PrepareBatchIsAllOrNothingAndTyped) {
-  AdpEngine engine(EngineConfig{.num_workers = 1});
-
-  const std::vector<std::string> texts = {kChainText, "not a query"};
-  StatusOr<std::vector<PreparedQuery>> batch = engine.PrepareBatch(texts);
-  EXPECT_EQ(batch.status().code(), StatusCode::kParseError);
-
-  engine.Shutdown();
-  const std::vector<std::string> ok_texts = {kChainText};
-  EXPECT_EQ(engine.PrepareBatch(ok_texts).status().code(),
-            StatusCode::kShutdown);
-}
-
 // --- TupleId capacity guard --------------------------------------------------
 
 // RAII guard so a lowered MaxRows ceiling never leaks into other tests.

@@ -14,6 +14,7 @@
 
 #include "engine/thread_pool.h"
 #include "query/parser.h"
+#include "query/transform.h"
 #include "solver/plan.h"
 #include "solver/solution.h"
 #include "solver/universe.h"
@@ -31,6 +32,19 @@ using testing::OracleCount;
 using testing::RandomDb;
 using testing::WitnessHash;
 
+// The Universe plan node for `q`: its residual planned as the recursion
+// would. Built by hand because some queries below would be claimed by
+// another case first (e.g. Singleton) if planned from the root.
+PlanNode UniversePlan(const ConjunctiveQuery& q, const AdpOptions& options) {
+  PlanNode plan;
+  plan.op = AdpCase::kUniverse;
+  plan.children.push_back(
+      BuildDispatchPlan(RemoveAttributes(q, UniverseAttrs(q, options)),
+                        options)
+          .root());
+  return plan;
+}
+
 // Q(A,B,C) :- R1(A,B), R2(A,C): A universal; groups solved independently.
 ConjunctiveQuery UQ() { return ParseQuery("Q(A,B,C) :- R1(A,B), R2(A,C)"); }
 
@@ -40,7 +54,8 @@ TEST(UniverseTest, PartitionedOptimum) {
                                  {"R2", {{1, 7}, {2, 7}, {2, 8}}}});
   // Group a=1: 2x1 = 2 outputs; group a=2: 1x2 = 2 outputs.
   AdpOptions options;
-  const AdpNode node = UniverseNode(q, db, 4, options);
+  const AdpNode node = UniverseNode(q, db, 4, options,
+                                    UniversePlan(q, options));
   EXPECT_TRUE(node.exact);
   // Removing 2 outputs: cheapest is one tuple (R2(1,7) kills group 1;
   // R1(2,5) kills group 2).
@@ -62,8 +77,8 @@ TEST(UniverseTest, ConvexAndDpPathsAgree) {
     AdpOptions fast;
     AdpOptions slow;
     slow.universe_convex_merge = false;
-    const AdpNode a = UniverseNode(q, db, total, fast);
-    const AdpNode b = UniverseNode(q, db, total, slow);
+    const AdpNode a = UniverseNode(q, db, total, fast, UniversePlan(q, fast));
+    const AdpNode b = UniverseNode(q, db, total, slow, UniversePlan(q, slow));
     for (std::int64_t j = 0; j <= total; ++j) {
       EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "iter " << iter;
     }
@@ -82,8 +97,10 @@ TEST(UniverseTest, OneByOneStrategySameCosts) {
   AdpOptions combined;
   AdpOptions one_by_one;
   one_by_one.universe_strategy = AdpOptions::UniverseStrategy::kOneByOne;
-  const AdpNode a = UniverseNode(q, db, total, combined);
-  const AdpNode b = UniverseNode(q, db, total, one_by_one);
+  const AdpNode a = UniverseNode(q, db, total, combined,
+                                 UniversePlan(q, combined));
+  const AdpNode b = UniverseNode(q, db, total, one_by_one,
+                                 UniversePlan(q, one_by_one));
   for (std::int64_t j = 0; j <= total; ++j) {
     EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "j=" << j;
   }
@@ -111,13 +128,15 @@ TEST(UniverseTest, ShardedGroupsMatchSequential) {
     AdpOptions sequential;
     AdpStats seq_stats;
     sequential.stats = &seq_stats;
-    const AdpNode a = UniverseNode(q, db, total, sequential);
+    const AdpNode a = UniverseNode(q, db, total, sequential,
+                                   UniversePlan(q, sequential));
 
     AdpOptions sharded = sequential;
     AdpStats shard_stats;
     sharded.stats = &shard_stats;
     sharded.parallelism = &par;
-    const AdpNode b = UniverseNode(q, db, total, sharded);
+    const AdpNode b = UniverseNode(q, db, total, sharded,
+                                   UniversePlan(q, sharded));
 
     for (std::int64_t j = 0; j <= total; ++j) {
       ASSERT_EQ(a.profile.At(j), b.profile.At(j))
@@ -174,7 +193,7 @@ TEST(UniverseTest, CancelAfterLastShardStopsTheFold) {
   options.cancel = &token;
   options.parallelism = &par;
   try {
-    UniverseNode(q, db, 4, options);
+    UniverseNode(q, db, 4, options, UniversePlan(q, options));
     FAIL() << "expected CancelledError";
   } catch (const CancelledError& e) {
     EXPECT_EQ(e.reason(), CancelReason::kCancelled);
@@ -191,7 +210,8 @@ TEST_P(UniverseOracleSweep, OptimalForAllK) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0 || db.TotalTuples() > 14) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = UniverseNode(q, db, total, options);
+  const AdpNode node = UniverseNode(q, db, total, options,
+                                    UniversePlan(q, options));
   ASSERT_TRUE(node.exact);
   for (std::int64_t k = 1; k <= total; ++k) {
     EXPECT_EQ(node.profile.At(k), OracleAdp(q, db, k)) << "k=" << k;
